@@ -210,6 +210,45 @@ mod tests {
         assert_eq!(j.matches("},").count(), 1);
     }
 
+    fn golden(actual: &str, expected: &str) {
+        assert!(
+            actual == expected,
+            "records drifted from their golden bytes; actual:\n<<<\n{actual}>>>\nexpected:\n<<<\n{expected}>>>"
+        );
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let records = vec![
+            BenchRecord {
+                experiment: "sweep".into(),
+                algo: "dc-nfdh".into(),
+                family: "layered".into(),
+                n: 64,
+                height: 12.5,
+                ratio: 1.0 / 3.0,
+                wall_s: 0.125,
+            },
+            BenchRecord {
+                experiment: "E1".into(),
+                algo: "-".into(),
+                family: "-".into(),
+                n: 0,
+                height: 0.0,
+                ratio: 0.0,
+                wall_s: 2.0,
+            },
+        ];
+        golden(
+            &to_json(&records),
+            r#"[
+  {"experiment": "sweep", "algo": "dc-nfdh", "family": "layered", "n": 64, "height": 12.500000, "ratio": 0.333333, "wall_s": 0.125000},
+  {"experiment": "E1", "algo": "-", "family": "-", "n": 0, "height": 0.000000, "ratio": 0.000000, "wall_s": 2.000000}
+]
+"#,
+        );
+    }
+
     #[test]
     fn anytime_sweep_records_carry_the_family_tag() {
         let records = anytime_sweep(2, &[12], 10);

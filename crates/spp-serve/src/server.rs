@@ -85,16 +85,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use spp_core::hist::AtomicHist;
+use spp_core::hist::{AtomicHist, Hist};
 use spp_core::json;
-use spp_engine::cache::{entry_parse, write_entry_atomic};
+use spp_core::InstanceDigest;
+use spp_engine::batch::CellOutcome;
+use spp_engine::cache::{entry_parse, write_entry_atomic, DirStats};
 use spp_engine::work::{complete_parse, grant_to_json, status_to_json};
 use spp_engine::{
     execute_cells, BatchJob, CacheStats, DiskCache, Registry, SolveCache, SolveConfig,
-    SolveRequest, WorkQueue,
+    SolveRequest, WorkQueue, WorkStatus,
 };
 
-use crate::event::{self, EventConn, EventHooks, EventShared};
+use crate::event::{self, EventConn, EventCountersSnapshot, EventHooks, EventShared};
 use crate::http::{self, HttpError, RecvBuf, Request};
 
 /// Default cap on `PUT /cache` and `POST /solve` bodies (8 MiB — roughly
@@ -797,11 +799,21 @@ const ERROR_FORMAT: &str = "spp-serve-error";
 const STATS_FORMAT: &str = "spp-serve-stats";
 const SOLVE_FORMAT: &str = "spp-solve-report";
 
-fn error_body(status: u16, msg: &str) -> String {
-    format!(
-        "{{\n  \"format\": \"{ERROR_FORMAT}\",\n  \"status\": {status},\n  \"error\": \"{}\"\n}}\n",
-        json::escape(msg)
-    )
+/// An `spp-serve-error` document; `param` names the offending `/solve`
+/// query parameter when there is one.
+fn error_body(status: u16, param: Option<&str>, msg: &str) -> String {
+    match param {
+        None => format!(
+            "{{\n  \"format\": \"{ERROR_FORMAT}\",\n  \"status\": {status},\n  \"error\": \"{}\"\n}}\n",
+            json::escape(msg)
+        ),
+        Some(param) => format!(
+            "{{\n  \"format\": \"{ERROR_FORMAT}\",\n  \"status\": {status},\n  \
+             \"param\": \"{}\",\n  \"error\": \"{}\"\n}}\n",
+            json::escape(param),
+            json::escape(msg)
+        ),
+    }
 }
 
 /// The outcome every handler reduces to.
@@ -825,7 +837,7 @@ impl Reply {
     }
 
     fn error(status: u16, msg: &str) -> Reply {
-        Reply::json(status, error_body(status, msg))
+        Reply::json(status, error_body(status, None, msg))
     }
 }
 
@@ -1382,15 +1394,7 @@ impl ParamError {
     }
 
     fn reply(&self) -> Reply {
-        Reply::json(
-            400,
-            format!(
-                "{{\n  \"format\": \"{ERROR_FORMAT}\",\n  \"status\": 400,\n  \
-                 \"param\": \"{}\",\n  \"error\": \"{}\"\n}}\n",
-                json::escape(&self.param),
-                json::escape(&self.message)
-            ),
-        )
+        Reply::json(400, error_body(400, Some(&self.param), &self.message))
     }
 }
 
@@ -1581,19 +1585,28 @@ fn solve(request: &Request, state: &State) -> Reply {
     // concern: the cache can never reproduce them, and a service answer
     // that changes shape between cold and warm would break the engine's
     // byte-identity contract.
+    Reply::json(
+        200,
+        solve_report_body(&solver_name, &config.signature(), digest, cell),
+    )
+}
+
+/// The `spp-solve-report` document for one `/solve` cell.
+fn solve_report_body(
+    solver_name: &str,
+    config_sig: &str,
+    digest: InstanceDigest,
+    cell: &CellOutcome,
+) -> String {
     let mut body = String::new();
     {
         use std::fmt::Write as _;
         body.push_str("{\n");
         let _ = writeln!(body, "  \"format\": \"{SOLVE_FORMAT}\",");
         let _ = writeln!(body, "  \"version\": 1,");
-        let _ = writeln!(body, "  \"solver\": \"{}\",", json::escape(&solver_name));
+        let _ = writeln!(body, "  \"solver\": \"{}\",", json::escape(solver_name));
         let _ = writeln!(body, "  \"instance\": \"{digest}\",");
-        let _ = writeln!(
-            body,
-            "  \"config\": \"{}\",",
-            json::escape(&config.signature())
-        );
+        let _ = writeln!(body, "  \"config\": \"{}\",", json::escape(config_sig));
         let _ = writeln!(body, "  \"status\": \"{}\",", cell.status.as_str());
         let _ = writeln!(body, "  \"makespan\": {:.17e},", cell.makespan);
         let _ = writeln!(body, "  \"lb\": {:.17e},", cell.combined_lb);
@@ -1605,22 +1618,59 @@ fn solve(request: &Request, state: &State) -> Reply {
         let _ = writeln!(body, "  \"cached\": {}", cell.from_cache);
         body.push_str("}\n");
     }
-    Reply::json(200, body)
+    body
+}
+
+/// Everything `GET /stats` reports, gathered from the live state so
+/// [`stats_body`] is a pure function of it.
+struct StatsView {
+    uptime_secs: u64,
+    counters: ServeCounters,
+    io_mode: &'static str,
+    event: Option<EventCountersSnapshot>,
+    latency: Hist,
+    work: Option<WorkStatus>,
+    cache: Option<(CacheStats, DirStats)>,
 }
 
 fn stats_reply(state: &State) -> Reply {
-    let c = state.counters.snapshot();
+    let cache = match &state.cache {
+        Some(cache) => match spp_engine::cache::dir_stats(cache.dir()) {
+            Ok(dir) => Some((cache.stats(), dir)),
+            Err(e) => return Reply::error(500, &e.to_string()),
+        },
+        None => None,
+    };
+    let view = StatsView {
+        uptime_secs: state.started.elapsed().as_secs(),
+        counters: state.counters.snapshot(),
+        io_mode: state.io_mode.name(),
+        event: state
+            .event
+            .as_ref()
+            .map(|shared| shared.counters.snapshot()),
+        latency: state.latency.snapshot(),
+        work: state.work.as_ref().map(|ws| {
+            ws.queue
+                .lock()
+                .expect("work queue mutex poisoned")
+                .status(Instant::now())
+        }),
+        cache,
+    };
+    Reply::json(200, stats_body(&view))
+}
+
+/// The `spp-serve-stats` document.
+fn stats_body(v: &StatsView) -> String {
+    let c = &v.counters;
     let mut body = String::new();
     {
         use std::fmt::Write as _;
         body.push_str("{\n");
         let _ = writeln!(body, "  \"format\": \"{STATS_FORMAT}\",");
         let _ = writeln!(body, "  \"version\": 1,");
-        let _ = writeln!(
-            body,
-            "  \"uptime_secs\": {},",
-            state.started.elapsed().as_secs()
-        );
+        let _ = writeln!(body, "  \"uptime_secs\": {},", v.uptime_secs);
         let _ = writeln!(body, "  \"requests\": {},", c.requests);
         let _ = writeln!(body, "  \"cache_get_hits\": {},", c.cache_get_hits);
         let _ = writeln!(body, "  \"cache_get_misses\": {},", c.cache_get_misses);
@@ -1659,9 +1709,8 @@ fn stats_reply(state: &State) -> Reply {
             "  \"max_requests_per_connection\": {},",
             c.max_requests_per_connection
         );
-        let _ = writeln!(body, "  \"io_mode\": \"{}\",", state.io_mode.name());
-        if let Some(shared) = &state.event {
-            let ev = shared.counters.snapshot();
+        let _ = writeln!(body, "  \"io_mode\": \"{}\",", v.io_mode);
+        if let Some(ev) = &v.event {
             let _ = writeln!(
                 body,
                 "  \"event\": {{\"parked_connections\": {}, \"wakeups\": {}, \
@@ -1682,7 +1731,7 @@ fn stats_reply(state: &State) -> Reply {
                 c.requests as f64 / c.connections_accepted as f64
             }
         );
-        let lat = state.latency.snapshot();
+        let lat = &v.latency;
         let us = |q: f64| lat.quantile(q) / 1000.0;
         let _ = writeln!(
             body,
@@ -1710,12 +1759,7 @@ fn stats_reply(state: &State) -> Reply {
             ep.work_report,
             ep.other
         );
-        if let Some(ws) = &state.work {
-            let s = ws
-                .queue
-                .lock()
-                .expect("work queue mutex poisoned")
-                .status(Instant::now());
+        if let Some(s) = &v.work {
             let _ = writeln!(body, "  \"work_jobs\": {},", s.jobs);
             let _ = writeln!(body, "  \"work_chunks\": {},", s.chunks);
             let _ = writeln!(body, "  \"work_completed_chunks\": {},", s.completed_chunks);
@@ -1723,13 +1767,8 @@ fn stats_reply(state: &State) -> Reply {
             let _ = writeln!(body, "  \"work_requeued\": {},", s.requeued);
             let _ = writeln!(body, "  \"work_done\": {},", s.done);
         }
-        match &state.cache {
-            Some(cache) => {
-                let dir = match spp_engine::cache::dir_stats(cache.dir()) {
-                    Ok(d) => d,
-                    Err(e) => return Reply::error(500, &e.to_string()),
-                };
-                let stats: CacheStats = cache.stats();
+        match &v.cache {
+            Some((stats, dir)) => {
                 let _ = writeln!(
                     body,
                     "  \"solve_cache\": \"{}\",",
@@ -1747,5 +1786,249 @@ fn stats_reply(state: &State) -> Reply {
         }
         body.push_str("}\n");
     }
-    Reply::json(200, body)
+    body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spp_engine::CellStatus;
+
+    /// Exact bytes: the roundtrip tests elsewhere would accept a
+    /// consistent layout change that every deployed client would see.
+    fn golden(actual: &str, expected: &str) {
+        assert!(
+            actual == expected,
+            "document drifted from its golden bytes; actual:\n<<<\n{actual}>>>\nexpected:\n<<<\n{expected}>>>"
+        );
+    }
+
+    fn cell(improved_from: Option<f64>, from_cache: bool) -> CellOutcome {
+        CellOutcome {
+            job: 0,
+            label: "http".into(),
+            solver: "nfdh".into(),
+            status: CellStatus::Solved,
+            makespan: 1.55,
+            combined_lb: 1.0 / 3.0,
+            from_cache,
+            improved_from,
+            digest: None,
+            outcome: None,
+        }
+    }
+
+    #[test]
+    fn solve_report_bytes() {
+        let digest = InstanceDigest::of_canonical_json("golden");
+        let sig = SolveConfig::default().signature();
+        golden(
+            &solve_report_body("nfdh", &sig, digest, &cell(None, false)),
+            r#"{
+  "format": "spp-solve-report",
+  "version": 1,
+  "solver": "nfdh",
+  "instance": "fnv1a:2b72c88efe37d9c4",
+  "config": "epsilon=1.00000000000000000e0 k=8 shelf_r=6.21999999999999997e-1 strict=false validate=true budget_ms=0 improve_seed=0 improve_streams=1 improve_envelope=false",
+  "status": "solved",
+  "makespan": 1.55000000000000004e0,
+  "lb": 3.33333333333333315e-1,
+  "cached": false
+}
+"#,
+        );
+        golden(
+            &solve_report_body("nfdh", &sig, digest, &cell(Some(2.0), true)),
+            r#"{
+  "format": "spp-solve-report",
+  "version": 1,
+  "solver": "nfdh",
+  "instance": "fnv1a:2b72c88efe37d9c4",
+  "config": "epsilon=1.00000000000000000e0 k=8 shelf_r=6.21999999999999997e-1 strict=false validate=true budget_ms=0 improve_seed=0 improve_streams=1 improve_envelope=false",
+  "status": "solved",
+  "makespan": 1.55000000000000004e0,
+  "lb": 3.33333333333333315e-1,
+  "improved_from": 2.00000000000000000e0,
+  "cached": true
+}
+"#,
+        );
+    }
+
+    #[test]
+    fn error_bytes() {
+        golden(
+            &error_body(404, None, "no cache entry \"x\"\n"),
+            r#"{
+  "format": "spp-serve-error",
+  "status": 404,
+  "error": "no cache entry \"x\"\n"
+}
+"#,
+        );
+        golden(
+            &error_body(
+                400,
+                Some("budget-ms"),
+                "unknown query parameter \"budget-ms\"",
+            ),
+            r#"{
+  "format": "spp-serve-error",
+  "status": 400,
+  "param": "budget-ms",
+  "error": "unknown query parameter \"budget-ms\""
+}
+"#,
+        );
+    }
+
+    #[test]
+    fn stats_bytes() {
+        let mut latency = Hist::new();
+        for us in [120u64, 250, 250, 900, 40_000] {
+            latency.record(us * 1000);
+        }
+        let full = StatsView {
+            uptime_secs: 42,
+            counters: ServeCounters {
+                requests: 100,
+                connections_accepted: 8,
+                keepalive_reuses: 92,
+                accept_failures: 1,
+                max_requests_per_connection: 40,
+                cache_get_hits: 30,
+                cache_get_misses: 5,
+                cache_puts: 12,
+                solves: 20,
+                solve_cache_hits: 25,
+                improve_iterations: 1000,
+                improve_streams: 3,
+                improve_envelope_prunes: 7,
+                improved_cells: 2,
+                improve_total_gain: 0.75,
+                errors: 4,
+                endpoints: EndpointCounters {
+                    cache_get: 35,
+                    cache_put: 12,
+                    solve: 45,
+                    stats: 3,
+                    work_lease: 1,
+                    work_complete: 1,
+                    work_status: 1,
+                    work_report: 1,
+                    other: 1,
+                },
+            },
+            io_mode: "event",
+            event: Some(EventCountersSnapshot {
+                parked_connections: 2,
+                wakeups: 50,
+                readiness_batches: 40,
+                eagain_retries: 9,
+                timer_expiries: 1,
+            }),
+            latency,
+            work: Some(WorkStatus {
+                jobs: 9,
+                chunks: 5,
+                completed_chunks: 3,
+                pending: 1,
+                outstanding: 1,
+                leases: 6,
+                requeued: 2,
+                duplicates: 1,
+                done: false,
+            }),
+            cache: Some((
+                CacheStats {
+                    hits: 25,
+                    misses: 20,
+                    writes: 20,
+                    rejected: 1,
+                },
+                DirStats {
+                    entries: 20,
+                    corrupt: 1,
+                    bytes: 12345,
+                    per_solver: vec![("nfdh".into(), 20)],
+                    instances: 18,
+                    configs: 2,
+                    ages: [20, 0, 0, 0],
+                },
+            )),
+        };
+        golden(
+            &stats_body(&full),
+            r#"{
+  "format": "spp-serve-stats",
+  "version": 1,
+  "uptime_secs": 42,
+  "requests": 100,
+  "cache_get_hits": 30,
+  "cache_get_misses": 5,
+  "cache_puts": 12,
+  "solves": 20,
+  "solve_cache_hits": 25,
+  "improve": {"iterations": 1000, "streams": 3, "rounds_per_stream": 3.33333333333333314e2, "improved_cells": 2, "envelope_prunes": 7, "total_gain": 7.50000000000000000e-1},
+  "errors": 4,
+  "connections_accepted": 8,
+  "keepalive_reuses": 92,
+  "accept_failures": 1,
+  "max_requests_per_connection": 40,
+  "io_mode": "event",
+  "event": {"parked_connections": 2, "wakeups": 50, "readiness_batches": 40, "eagain_retries": 9, "timer_expiries": 1},
+  "mean_requests_per_connection": 12.50,
+  "latency_us": {"count": 5, "p50": 254.0, "p95": 39845.9, "p99": 39845.9, "p999": 39845.9},
+  "endpoints": {"cache_get": 35, "cache_put": 12, "solve": 45, "stats": 3, "work_lease": 1, "work_complete": 1, "work_status": 1, "work_report": 1, "other": 1},
+  "work_jobs": 9,
+  "work_chunks": 5,
+  "work_completed_chunks": 3,
+  "work_leases": 6,
+  "work_requeued": 2,
+  "work_done": false,
+  "solve_cache": "25 hits, 20 misses, 20 written, 1 rejected",
+  "entries": 20,
+  "corrupt": 1,
+  "bytes": 12345,
+  "instances": 18,
+  "configs": 2
+}
+"#,
+        );
+        let bare = StatsView {
+            uptime_secs: 0,
+            counters: ServeCounters::default(),
+            io_mode: "blocking",
+            event: None,
+            latency: Hist::new(),
+            work: None,
+            cache: None,
+        };
+        golden(
+            &stats_body(&bare),
+            r#"{
+  "format": "spp-serve-stats",
+  "version": 1,
+  "uptime_secs": 0,
+  "requests": 0,
+  "cache_get_hits": 0,
+  "cache_get_misses": 0,
+  "cache_puts": 0,
+  "solves": 0,
+  "solve_cache_hits": 0,
+  "improve": {"iterations": 0, "streams": 0, "rounds_per_stream": 0.00000000000000000e0, "improved_cells": 0, "envelope_prunes": 0, "total_gain": 0.00000000000000000e0},
+  "errors": 0,
+  "connections_accepted": 0,
+  "keepalive_reuses": 0,
+  "accept_failures": 0,
+  "max_requests_per_connection": 0,
+  "io_mode": "blocking",
+  "mean_requests_per_connection": 0.00,
+  "latency_us": {"count": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "p999": 0.0},
+  "endpoints": {"cache_get": 0, "cache_put": 0, "solve": 0, "stats": 0, "work_lease": 0, "work_complete": 0, "work_status": 0, "work_report": 0, "other": 0},
+  "cache_role": false
+}
+"#,
+        );
+    }
 }
