@@ -3,12 +3,13 @@
 //! `run_all` emits one JSON record per measurement — experiment wall
 //! times plus an engine-registry sweep with per-(algo, family, n) height,
 //! ratio and wall time — so each PR can check in a `BENCH_*.json`
-//! baseline that future PRs diff against. No serde in the dependency set,
-//! so serialization is by hand (the schema is flat).
+//! baseline that future PRs diff against. Serialized through the
+//! workspace's one codec, `spp_core::json::Writer`.
 
 use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
+use spp_core::json::Writer;
 use spp_engine::{solve, Registry, SolveRequest};
 use spp_gen::rects::DagFamily;
 
@@ -31,39 +32,22 @@ pub struct BenchRecord {
     pub wall_s: f64,
 }
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Serialize records as a JSON array (pretty, one record per line —
+/// Serialize records as a JSON array (one record per line —
 /// diff-friendly for checked-in baselines).
 pub fn to_json(records: &[BenchRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"experiment\": \"{}\", \"algo\": \"{}\", \"family\": \"{}\", \
-             \"n\": {}, \"height\": {:.6}, \"ratio\": {:.6}, \"wall_s\": {:.6}}}{}\n",
-            escape(&r.experiment),
-            escape(&r.algo),
-            escape(&r.family),
-            r.n,
-            r.height,
-            r.ratio,
-            r.wall_s,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
+    let mut w = Writer::row_array();
+    for r in records {
+        w.row()
+            .str("experiment", &r.experiment)
+            .str("algo", &r.algo)
+            .str("family", &r.family)
+            .int("n", r.n as u64)
+            .fixed("height", r.height, 6)
+            .fixed("ratio", r.ratio, 6)
+            .fixed("wall_s", r.wall_s, 6)
+            .end();
     }
-    out.push(']');
-    out.push('\n');
-    out
+    w.finish()
 }
 
 /// Engine-registry sweep: every precedence-capable solver on DAG

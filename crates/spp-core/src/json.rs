@@ -1,12 +1,22 @@
-//! The canonical on-disk instance format (JSON) and a minimal JSON
-//! parser to read it.
+//! The repo's one JSON codec: a minimal parser, the [`Writer`] every
+//! wire document is serialized through, and the [`Doc`]/[`Fields`]
+//! reader every document is parsed through — plus the canonical
+//! on-disk instance format built on them.
 //!
-//! The allowed dependency set contains no data-format crate, so both the
-//! JSON reader and the writer are hand rolled. The reader is a strict
-//! recursive-descent parser that tracks the **line** of every value, so
-//! schema errors can name the offending field *and* line — the contract
-//! the batch tooling relies on when a 10 000-file shard run rejects one
-//! input.
+//! The allowed dependency set contains no data-format crate, so both
+//! halves are hand rolled. The parser is a strict recursive-descent
+//! parser that tracks the **line** of every value, so schema errors can
+//! name the offending field *and* line — the contract the batch tooling
+//! relies on when a 10 000-file shard run rejects one input.
+//!
+//! **Layout rule.** A [`Writer`] document is a block object: `{`, one
+//! `"key": value` per line at two-space indent, `}` and a newline. A
+//! value is a scalar, an inline array or object on one line
+//! (`["a", "b"]`, `{"k": 1, "j": 2}`), or a row array with one element
+//! per line at the next indent level (four spaces inside a document);
+//! an empty row array is `[]`. Floats go through [`Writer::num`], the
+//! one place `{:.17e}` is written, so `parse ∘ serialize` is the
+//! identity bit for bit.
 //!
 //! On-disk schema (`InstanceFile`):
 //!
@@ -23,11 +33,11 @@
 //! }
 //! ```
 //!
-//! Floats are written with `{:.17e}` so `parse ∘ serialize` is the
-//! identity bit-for-bit. Edges are stored as raw `[pred, succ]` id pairs;
-//! cycle checking belongs to the DAG layer (`spp-dag`), which this crate
-//! deliberately does not depend on.
+//! Edges are stored as raw `[pred, succ]` id pairs; cycle checking
+//! belongs to the DAG layer (`spp-dag`), which this crate deliberately
+//! does not depend on.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::error::CoreError;
@@ -44,6 +54,10 @@ pub enum Json {
     Null,
     Bool(bool),
     Num(f64),
+    /// A non-negative integer above 2^53, which `f64` cannot hold
+    /// exactly (a 64-bit seed, say). Every other number is [`Json::Num`];
+    /// [`as_num`] reads this one rounded, [`as_u64`] exactly.
+    WideInt(u64),
     Str(String),
     Arr(Vec<JsonValue>),
     Obj(Vec<(String, JsonValue)>),
@@ -55,7 +69,7 @@ impl Json {
         match self {
             Json::Null => "null",
             Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
+            Json::Num(_) | Json::WideInt(_) => "number",
             Json::Str(_) => "string",
             Json::Arr(_) => "array",
             Json::Obj(_) => "object",
@@ -148,7 +162,7 @@ impl<'a> Parser<'a> {
                 self.parse_keyword("null")?;
                 Json::Null
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => Json::Num(self.parse_number()?),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number()?,
             Some(c) => return Err(self.err(format!("unexpected character {:?}", c as char))),
             None => return Err(self.err("unexpected end of input")),
         };
@@ -175,32 +189,43 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<f64, JsonSyntaxError> {
+    fn parse_number(&mut self) -> Result<Json, JsonSyntaxError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.bump();
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
-        if self.peek() == Some(b'.') {
-            self.bump();
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
+        let digits = |p: &mut Self| {
+            while matches!(p.peek(), Some(c) if c.is_ascii_digit()) {
+                p.bump();
             }
+        };
+        let mut integer = self.peek() != Some(b'-');
+        if !integer {
+            self.bump();
+        }
+        digits(self);
+        if self.peek() == Some(b'.') {
+            integer = false;
+            self.bump();
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            integer = false;
             self.bump();
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.bump();
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+            digits(self);
         }
         let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        // Integer lexemes past f64's exact range keep every bit.
+        if integer && self.pos - start > 15 {
+            if let Ok(n) = token.parse::<u64>() {
+                if n > 1 << 53 {
+                    return Ok(Json::WideInt(n));
+                }
+            }
+        }
         token
             .parse::<f64>()
+            .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number {token:?}")))
     }
 
@@ -330,8 +355,16 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonSyntaxError> {
     Ok(v)
 }
 
-/// Escape a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON document (borrowed when
+/// nothing needs escaping — the common case for registry names and
+/// digests).
+pub fn escape(s: &str) -> Cow<'_, str> {
+    if !s
+        .chars()
+        .any(|c| c == '"' || c == '\\' || (c as u32) < 0x20)
+    {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -346,11 +379,178 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 // ---------------------------------------------------------------------------
-// Schema layer: the instance file
+// Writing: the one serializer
+// ---------------------------------------------------------------------------
+
+/// The serializer every wire document goes through; see the module docs
+/// for the layout rule it implements. Field methods take the key and
+/// return `&mut Self` for chaining; [`Writer::obj`], [`Writer::rows`]
+/// and [`Writer::row`] open a container that [`Writer::end`] closes, and
+/// [`Writer::finish`] closes whatever is still open.
+pub struct Writer {
+    out: String,
+    /// Open containers, innermost last: closing bracket, one element
+    /// per line (documents, row arrays), still empty.
+    open: Vec<(char, bool, bool)>,
+}
+
+impl Writer {
+    /// Open a document with its `format`/`version` header.
+    pub fn new(format: &str, version: u64) -> Writer {
+        let mut w = Writer::unversioned(format);
+        w.int("version", version);
+        w
+    }
+
+    /// Open a document whose only header is its `format` tag (error and
+    /// acknowledgement replies).
+    pub fn unversioned(format: &str) -> Writer {
+        let mut w = Writer::start('{', '}');
+        w.str("format", format);
+        w
+    }
+
+    /// Open a document that is a bare row array (benchmark records).
+    pub fn row_array() -> Writer {
+        Writer::start('[', ']')
+    }
+
+    fn start(open: char, close: char) -> Writer {
+        let mut w = Writer {
+            out: String::with_capacity(512),
+            open: Vec::new(),
+        };
+        w.open(None, open, close, true);
+        w
+    }
+
+    /// Separator and key before the next value of the innermost
+    /// container; returns the buffer to write the value into.
+    fn next(&mut self, key: Option<&str>) -> &mut String {
+        let depth = self.open.len();
+        if let Some((_, block, empty)) = self.open.last_mut() {
+            let first = std::mem::replace(empty, false);
+            if *block {
+                self.out.push_str(if first { "\n" } else { ",\n" });
+                self.out.extend(std::iter::repeat_n("  ", depth));
+            } else if !first {
+                self.out.push_str(", ");
+            }
+        }
+        if let Some(key) = key {
+            self.out.push('"');
+            self.out.push_str(&escape(key));
+            self.out.push_str("\": ");
+        }
+        &mut self.out
+    }
+
+    fn open(&mut self, key: Option<&str>, open: char, close: char, block: bool) -> &mut Self {
+        self.next(key).push(open);
+        self.open.push((close, block, true));
+        self
+    }
+
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        let out = self.next(Some(key));
+        out.push('"');
+        out.push_str(&escape(v));
+        out.push('"');
+        self
+    }
+
+    pub fn int(&mut self, key: &str, v: u64) -> &mut Self {
+        let _ = write!(self.next(Some(key)), "{v}");
+        self
+    }
+
+    /// A float in the canonical `{:.17e}` form, which parses back to the
+    /// identical bits.
+    pub fn num(&mut self, key: &str, v: f64) -> &mut Self {
+        let _ = write!(self.next(Some(key)), "{v:.17e}");
+        self
+    }
+
+    /// A float rounded to `decimals` places — for human-facing figures
+    /// (latencies, benchmark records), never for values read back.
+    pub fn fixed(&mut self, key: &str, v: f64, decimals: usize) -> &mut Self {
+        let _ = write!(self.next(Some(key)), "{v:.decimals$}");
+        self
+    }
+
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        let _ = write!(self.next(Some(key)), "{v}");
+        self
+    }
+
+    /// An inline array of strings.
+    pub fn strs<S: AsRef<str>>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = S>,
+    ) -> &mut Self {
+        self.open(Some(key), '[', ']', false);
+        for s in items {
+            let out = self.next(None);
+            out.push('"');
+            out.push_str(&escape(s.as_ref()));
+            out.push('"');
+        }
+        self.end()
+    }
+
+    /// Open an inline object field.
+    pub fn obj(&mut self, key: &str) -> &mut Self {
+        self.open(Some(key), '{', '}', false)
+    }
+
+    /// Open a row array field.
+    pub fn rows(&mut self, key: &str) -> &mut Self {
+        self.open(Some(key), '[', ']', true)
+    }
+
+    /// Open an inline object as the next row of the innermost row array.
+    pub fn row(&mut self) -> &mut Self {
+        self.open(None, '{', '}', false)
+    }
+
+    /// An inline integer array as the next row of the innermost row
+    /// array (an edge's `[pred, succ]`).
+    pub fn row_ints(&mut self, ints: &[u64]) -> &mut Self {
+        self.open(None, '[', ']', false);
+        for v in ints {
+            let _ = write!(self.next(None), "{v}");
+        }
+        self.end()
+    }
+
+    /// Close the innermost open container.
+    pub fn end(&mut self) -> &mut Self {
+        let (close, block, empty) = self.open.pop().expect("Writer::end with nothing open");
+        if block && !empty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n("  ", self.open.len()));
+        }
+        self.out.push(close);
+        self
+    }
+
+    /// Close every open container and return the document.
+    pub fn finish(mut self) -> String {
+        while !self.open.is_empty() {
+            self.end();
+        }
+        self.out.push('\n');
+        self.out
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reading: typed getters that name the field path
 // ---------------------------------------------------------------------------
 
 /// A schema error: which field is wrong, on which line, and why.
@@ -358,7 +558,7 @@ pub fn escape(s: &str) -> String {
 pub enum FileFormatError {
     /// The document is not JSON at all.
     Syntax(JsonSyntaxError),
-    /// The document is JSON but violates the `spp-instance` schema.
+    /// The document is JSON but violates its schema.
     Field {
         /// Dotted/indexed path of the offending field, e.g. `items[3].w`.
         field: String,
@@ -394,6 +594,256 @@ fn field_err(field: &str, line: usize, msg: impl Into<String>) -> FileFormatErro
         msg: msg.into(),
     }
 }
+
+fn type_err(v: &JsonValue, path: &str, want: &str) -> FileFormatError {
+    field_err(
+        path,
+        v.line,
+        format!("expected {want}, found {}", v.json.type_name()),
+    )
+}
+
+/// Typed accessor: the value must be an object; `path` names it in the
+/// error.
+pub fn as_obj<'a>(
+    v: &'a JsonValue,
+    path: &str,
+) -> Result<&'a Vec<(String, JsonValue)>, FileFormatError> {
+    match &v.json {
+        Json::Obj(fields) => Ok(fields),
+        _ => Err(type_err(v, path, "object")),
+    }
+}
+
+/// Typed accessor: the value must be an array.
+pub fn as_arr<'a>(v: &'a JsonValue, path: &str) -> Result<&'a Vec<JsonValue>, FileFormatError> {
+    match &v.json {
+        Json::Arr(vals) => Ok(vals),
+        _ => Err(type_err(v, path, "array")),
+    }
+}
+
+/// Typed accessor: the value must be a number.
+pub fn as_num(v: &JsonValue, path: &str) -> Result<f64, FileFormatError> {
+    match &v.json {
+        Json::Num(x) => Ok(*x),
+        Json::WideInt(n) => Ok(*n as f64),
+        _ => Err(type_err(v, path, "number")),
+    }
+}
+
+/// Typed accessor: the value must be a non-negative integer; exact over
+/// all of `u64`.
+pub fn as_u64(v: &JsonValue, path: &str) -> Result<u64, FileFormatError> {
+    if let Json::WideInt(n) = v.json {
+        return Ok(n);
+    }
+    let x = as_num(v, path)?;
+    if x < 0.0 || x.fract() != 0.0 || !x.is_finite() {
+        return Err(field_err(
+            path,
+            v.line,
+            format!("expected a non-negative integer, found {x}"),
+        ));
+    }
+    Ok(x as u64)
+}
+
+/// Typed accessor: the value must be a string.
+pub fn as_str<'a>(v: &'a JsonValue, path: &str) -> Result<&'a str, FileFormatError> {
+    match &v.json {
+        Json::Str(s) => Ok(s),
+        _ => Err(type_err(v, path, "string")),
+    }
+}
+
+/// Typed accessor: the value must be `true` or `false`.
+pub fn as_bool(v: &JsonValue, path: &str) -> Result<bool, FileFormatError> {
+    match v.json {
+        Json::Bool(b) => Ok(b),
+        _ => Err(type_err(v, path, "bool")),
+    }
+}
+
+/// Look up a required field of an object (`doc` supplies the error line
+/// when the field is absent).
+pub fn get_field<'a>(
+    obj: &'a [(String, JsonValue)],
+    doc: &JsonValue,
+    name: &str,
+) -> Result<&'a JsonValue, FileFormatError> {
+    obj.iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v)
+        .ok_or_else(|| field_err(name, doc.line, "missing required field"))
+}
+
+/// A parsed wire document whose `format` tag and `version` are checked —
+/// the one place every format does so. Read it through [`Doc::fields`].
+pub struct Doc {
+    root: JsonValue,
+}
+
+impl Doc {
+    pub fn parse(text: &str, format: &str, version: u64) -> Result<Doc, FileFormatError> {
+        let doc = Doc { root: parse(text)? };
+        let top = Fields::of(&doc.root, "$")?;
+        let tag = top.str("format")?;
+        if tag != format {
+            return Err(top.err("format", format!("expected {format:?}, found {tag:?}")));
+        }
+        let v = top.u64("version")?;
+        if v != version {
+            return Err(top.err(
+                "version",
+                format!("unsupported wire version {v} (this build reads {version})"),
+            ));
+        }
+        Ok(doc)
+    }
+
+    /// The document's top-level fields.
+    pub fn fields(&self) -> Fields<'_> {
+        Fields::of(&self.root, "$").expect("checked to be an object at parse")
+    }
+}
+
+/// One object of a parsed document, with required and optional typed
+/// getters. Every getter error names the field's full path
+/// (`cells[3].lb`) and line; the path is only built on error.
+#[derive(Clone, Copy)]
+pub struct Fields<'a> {
+    fields: &'a [(String, JsonValue)],
+    line: usize,
+    /// The row array and index this object sits at; `None` at top level.
+    row: Option<(&'a str, usize)>,
+}
+
+impl<'a> Fields<'a> {
+    /// View `v` as an object (`path` names it if it is not one).
+    fn of(v: &'a JsonValue, path: &str) -> Result<Fields<'a>, FileFormatError> {
+        Ok(Fields {
+            fields: as_obj(v, path)?,
+            line: v.line,
+            row: None,
+        })
+    }
+
+    fn path(&self, name: &str) -> String {
+        match self.row {
+            Some((arr, i)) => format!("{arr}[{i}].{name}"),
+            None => name.to_string(),
+        }
+    }
+
+    /// A schema error naming field `name` — at its value's line when
+    /// present, at this object's otherwise.
+    pub fn err(&self, name: &str, msg: impl Into<String>) -> FileFormatError {
+        let line = self.opt_value(name).map_or(self.line, |v| v.line);
+        field_err(&self.path(name), line, msg)
+    }
+
+    fn opt_value(&self, name: &str) -> Option<&'a JsonValue> {
+        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// Reject any field not in `allowed`, by name — for hand-written
+    /// inputs, where a typo must not be silently dropped.
+    pub fn only(&self, allowed: &[&str]) -> Result<(), FileFormatError> {
+        match self
+            .fields
+            .iter()
+            .find(|(k, _)| !allowed.contains(&k.as_str()))
+        {
+            Some((key, _)) => Err(self.err(key, "unknown field")),
+            None => Ok(()),
+        }
+    }
+
+    fn value(&self, name: &str) -> Result<&'a JsonValue, FileFormatError> {
+        self.opt_value(name)
+            .ok_or_else(|| self.err(name, "missing required field"))
+    }
+
+    /// Field `name` through a typed accessor, its path built only on
+    /// error.
+    fn get<T>(
+        &self,
+        name: &str,
+        read: fn(&'a JsonValue, &str) -> Result<T, FileFormatError>,
+    ) -> Result<T, FileFormatError> {
+        read(self.value(name)?, "").map_err(|e| match e {
+            FileFormatError::Field { line, msg, .. } => field_err(&self.path(name), line, msg),
+            syntax => syntax,
+        })
+    }
+
+    pub fn str(&self, name: &str) -> Result<&'a str, FileFormatError> {
+        self.get(name, as_str)
+    }
+
+    pub fn u64(&self, name: &str) -> Result<u64, FileFormatError> {
+        self.get(name, as_u64)
+    }
+
+    pub fn num(&self, name: &str) -> Result<f64, FileFormatError> {
+        self.get(name, as_num)
+    }
+
+    pub fn bool(&self, name: &str) -> Result<bool, FileFormatError> {
+        self.get(name, as_bool)
+    }
+
+    /// `get(name)` when the field is present, `None` when absent — for
+    /// fields a format gained after version 1 (old documents still parse).
+    pub fn opt<T>(
+        &self,
+        name: &str,
+        get: impl FnOnce(&Self, &str) -> Result<T, FileFormatError>,
+    ) -> Result<Option<T>, FileFormatError> {
+        match self.opt_value(name) {
+            Some(_) => get(self, name).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    pub fn arr(&self, name: &str) -> Result<&'a [JsonValue], FileFormatError> {
+        self.get(name, as_arr).map(Vec::as_slice)
+    }
+
+    /// An array of strings.
+    pub fn strs(&self, name: &str) -> Result<Vec<String>, FileFormatError> {
+        let item = |(i, v): (usize, &JsonValue)| match &v.json {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err(type_err(v, &format!("{}[{i}]", self.path(name)), "string")),
+        };
+        self.arr(name)?.iter().enumerate().map(item).collect()
+    }
+
+    /// A row array of objects, each viewed through its own getters.
+    pub fn rows(
+        &self,
+        name: &'a str,
+    ) -> Result<impl Iterator<Item = Result<Fields<'a>, FileFormatError>> + 'a, FileFormatError>
+    {
+        Ok(self
+            .arr(name)?
+            .iter()
+            .enumerate()
+            .map(move |(i, v)| match &v.json {
+                Json::Obj(fields) => Ok(Fields {
+                    fields,
+                    line: v.line,
+                    row: Some((name, i)),
+                }),
+                _ => Err(type_err(v, &format!("{name}[{i}]"), "object")),
+            }))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The instance file
+// ---------------------------------------------------------------------------
 
 /// The on-disk instance document: items plus raw precedence edges.
 ///
@@ -432,107 +882,53 @@ impl InstanceFile {
     }
 
     /// Canonical serialization: fixed field order, one item / edge per
-    /// line, floats via `{:.17e}` so the round-trip is exact.
+    /// line, floats via [`Writer::num`] so the round-trip is exact.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"format\": \"{INSTANCE_FORMAT_NAME}\",");
-        let _ = writeln!(out, "  \"version\": {INSTANCE_FORMAT_VERSION},");
-        out.push_str("  \"items\": [");
-        for (i, it) in self.items.iter().enumerate() {
-            let sep = if i + 1 < self.items.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "\n    {{\"id\": {}, \"w\": {:.17e}, \"h\": {:.17e}, \"release\": {:.17e}}}{sep}",
-                it.id, it.w, it.h, it.release
-            );
+        let mut w = Writer::new(INSTANCE_FORMAT_NAME, INSTANCE_FORMAT_VERSION);
+        w.out
+            .reserve(100 * self.items.len() + 12 * self.edges.len());
+        w.rows("items");
+        for it in &self.items {
+            w.row()
+                .int("id", it.id as u64)
+                .num("w", it.w)
+                .num("h", it.h)
+                .num("release", it.release)
+                .end();
         }
-        out.push_str(if self.items.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"edges\": [");
-        for (i, (u, v)) in self.edges.iter().enumerate() {
-            let sep = if i + 1 < self.edges.len() { "," } else { "" };
-            let _ = write!(out, "\n    [{u}, {v}]{sep}");
+        w.end().rows("edges");
+        for &(u, v) in &self.edges {
+            w.row_ints(&[u as u64, v as u64]);
         }
-        out.push_str(if self.edges.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        w.finish()
     }
 
     /// Parse and schema-check a document produced by [`Self::to_json`]
     /// (or written by hand). Items may appear in any order; their ids must
     /// be exactly `0..n`. Every schema violation names the offending
-    /// field path and the line it starts on.
+    /// field path and the line it starts on; unknown fields are rejected
+    /// so typos (`"edgs"`) are named instead of silently dropped.
     pub fn parse(text: &str) -> Result<Self, FileFormatError> {
-        let doc = parse(text)?;
-        let obj = as_obj(&doc, "$")?;
+        let doc = Doc::parse(text, INSTANCE_FORMAT_NAME, INSTANCE_FORMAT_VERSION)?;
+        let top = doc.fields();
+        top.only(&["format", "version", "items", "edges"])?;
 
-        // Reject unknown top-level fields so typos ("edgs") are named
-        // instead of silently dropped.
-        for (key, val) in obj {
-            if !matches!(key.as_str(), "format" | "version" | "items" | "edges") {
-                return Err(field_err(key, val.line, "unknown field"));
-            }
-        }
-
-        let format = get_field(obj, &doc, "format")?;
-        match &format.json {
-            Json::Str(s) if s == INSTANCE_FORMAT_NAME => {}
-            Json::Str(s) => {
-                return Err(field_err(
-                    "format",
-                    format.line,
-                    format!("expected {INSTANCE_FORMAT_NAME:?}, found {s:?}"),
-                ))
-            }
-            other => {
-                return Err(field_err(
-                    "format",
-                    format.line,
-                    format!("expected string, found {}", other.type_name()),
-                ))
-            }
-        }
-
-        let version = get_field(obj, &doc, "version")?;
-        let v = as_u64(version, "version")?;
-        if v != INSTANCE_FORMAT_VERSION {
-            return Err(field_err(
-                "version",
-                version.line,
-                format!("unsupported version {v} (this build reads {INSTANCE_FORMAT_VERSION})"),
+        let mut items = top
+            .rows("items")?
+            .map(|row| parse_item(row?))
+            .collect::<Result<Vec<Item>, _>>()?;
+        items.sort_by_key(|it| it.id);
+        if let Some(index) = items.iter().enumerate().position(|(i, it)| it.id != i) {
+            return Err(top.err(
+                "items",
+                format!(
+                    "item ids must be exactly 0..{}; missing id {index}",
+                    items.len()
+                ),
             ));
         }
 
-        let items_val = get_field(obj, &doc, "items")?;
-        let items_arr = as_arr(items_val, "items")?;
-        let mut items: Vec<Item> = Vec::with_capacity(items_arr.len());
-        for (i, iv) in items_arr.iter().enumerate() {
-            items.push(parse_item(iv, i)?);
-        }
-        items.sort_by_key(|it| it.id);
-        for (index, it) in items.iter().enumerate() {
-            if it.id != index {
-                return Err(field_err(
-                    "items",
-                    items_val.line,
-                    format!(
-                        "item ids must be exactly 0..{}; missing id {index}",
-                        items.len()
-                    ),
-                ));
-            }
-        }
-
-        let edges_val = get_field(obj, &doc, "edges")?;
-        let edges_arr = as_arr(edges_val, "edges")?;
+        let edges_arr = top.arr("edges")?;
         let mut edges = Vec::with_capacity(edges_arr.len());
         for (i, ev) in edges_arr.iter().enumerate() {
             let path = format!("edges[{i}]");
@@ -562,134 +958,27 @@ impl InstanceFile {
     }
 }
 
-/// Typed accessor: the value must be an object; `path` names it in the
-/// error. (These accessors are public so every schema layer built on this
-/// parser — instance files here, shard reports in `spp-engine` — shares
-/// one implementation and one error style.)
-pub fn as_obj<'a>(
-    v: &'a JsonValue,
-    path: &str,
-) -> Result<&'a Vec<(String, JsonValue)>, FileFormatError> {
-    match &v.json {
-        Json::Obj(fields) => Ok(fields),
-        other => Err(field_err(
-            path,
-            v.line,
-            format!("expected object, found {}", other.type_name()),
-        )),
-    }
-}
-
-/// Typed accessor: the value must be an array.
-pub fn as_arr<'a>(v: &'a JsonValue, path: &str) -> Result<&'a Vec<JsonValue>, FileFormatError> {
-    match &v.json {
-        Json::Arr(vals) => Ok(vals),
-        other => Err(field_err(
-            path,
-            v.line,
-            format!("expected array, found {}", other.type_name()),
-        )),
-    }
-}
-
-/// Typed accessor: the value must be a number.
-pub fn as_num(v: &JsonValue, path: &str) -> Result<f64, FileFormatError> {
-    match &v.json {
-        Json::Num(x) => Ok(*x),
-        other => Err(field_err(
-            path,
-            v.line,
-            format!("expected number, found {}", other.type_name()),
-        )),
-    }
-}
-
-/// Typed accessor: the value must be a non-negative integer.
-pub fn as_u64(v: &JsonValue, path: &str) -> Result<u64, FileFormatError> {
-    let x = as_num(v, path)?;
-    if x < 0.0 || x.fract() != 0.0 || !x.is_finite() {
-        return Err(field_err(
-            path,
-            v.line,
-            format!("expected a non-negative integer, found {x}"),
-        ));
-    }
-    Ok(x as u64)
-}
-
-/// Typed accessor: the value must be a string.
-pub fn as_str<'a>(v: &'a JsonValue, path: &str) -> Result<&'a str, FileFormatError> {
-    match &v.json {
-        Json::Str(s) => Ok(s),
-        other => Err(field_err(
-            path,
-            v.line,
-            format!("expected string, found {}", other.type_name()),
-        )),
-    }
-}
-
-/// Look up a required field of an object (`doc` supplies the error line
-/// when the field is absent).
-pub fn get_field<'a>(
-    obj: &'a [(String, JsonValue)],
-    doc: &JsonValue,
-    name: &str,
-) -> Result<&'a JsonValue, FileFormatError> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| field_err(name, doc.line, "missing required field"))
-}
-
-fn parse_item(v: &JsonValue, index: usize) -> Result<Item, FileFormatError> {
-    let path = format!("items[{index}]");
-    let fields = as_obj(v, &path)?;
-    for (key, val) in fields {
-        if !matches!(key.as_str(), "id" | "w" | "h" | "release") {
-            return Err(field_err(
-                &format!("{path}.{key}"),
-                val.line,
-                "unknown field",
-            ));
-        }
-    }
-    let get = |name: &str| -> Result<&JsonValue, FileFormatError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, fv)| fv)
-            .ok_or_else(|| field_err(&format!("{path}.{name}"), v.line, "missing required field"))
-    };
-    let id = as_u64(get("id")?, &format!("{path}.id"))? as usize;
-    let w = as_num(get("w")?, &format!("{path}.w"))?;
-    let h = as_num(get("h")?, &format!("{path}.h"))?;
-    let release = as_num(get("release")?, &format!("{path}.release"))?;
-    let item = Item::with_release(id, w, h, release);
+fn parse_item(row: Fields<'_>) -> Result<Item, FileFormatError> {
+    row.only(&["id", "w", "h", "release"])?;
+    let id = row.u64("id")? as usize;
+    let w = row.num("w")?;
+    let h = row.num("h")?;
+    let release = row.num("release")?;
     // Domain checks here so the error carries the field path + line
     // instead of a bare CoreError at Instance construction.
     if !w.is_finite() || w <= 0.0 || w > 1.0 {
-        return Err(field_err(
-            &format!("{path}.w"),
-            get("w")?.line,
-            format!("width {w} outside (0, 1]"),
-        ));
+        return Err(row.err("w", format!("width {w} outside (0, 1]")));
     }
     if !h.is_finite() || h <= 0.0 {
-        return Err(field_err(
-            &format!("{path}.h"),
-            get("h")?.line,
-            format!("height {h} must be positive and finite"),
-        ));
+        return Err(row.err("h", format!("height {h} must be positive and finite")));
     }
     if !release.is_finite() || release < 0.0 {
-        return Err(field_err(
-            &format!("{path}.release"),
-            get("release")?.line,
+        return Err(row.err(
+            "release",
             format!("release {release} must be non-negative and finite"),
         ));
     }
-    Ok(item)
+    Ok(Item::with_release(id, w, h, release))
 }
 
 #[cfg(test)]
@@ -823,6 +1112,52 @@ mod tests {
         assert!(parse("{,}").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn integers_are_exact_over_all_of_u64() {
+        let v = parse("[9007199254740993, 12345678901234567891, 18446744073709551615, 42, 1.5]")
+            .unwrap();
+        let Json::Arr(vals) = &v.json else { panic!() };
+        let ints: Vec<u64> = vals[..4].iter().map(|x| as_u64(x, "x").unwrap()).collect();
+        assert_eq!(ints, [(1 << 53) + 1, 12345678901234567891, u64::MAX, 42]);
+        // Every number still reads as a number.
+        assert_eq!(
+            as_num(&vals[1], "x").unwrap(),
+            12345678901234567891u64 as f64
+        );
+        assert_eq!(as_num(&vals[4], "x").unwrap(), 1.5);
+        assert_eq!(vals[3].json, Json::Num(42.0));
+    }
+
+    #[test]
+    fn reader_checks_the_header_and_names_row_paths() {
+        let mut w = Writer::new("spp-test", 2);
+        w.rows("cells");
+        w.row().num("lb", 1.0).end();
+        w.row().str("lb", "x").end();
+        w.end().rows("none");
+        let text = w.finish();
+        assert!(text.contains("\n  \"none\": []\n}\n"), "{text}");
+
+        let doc = Doc::parse(&text, "spp-test", 2).unwrap();
+        let rows: Vec<_> = doc.fields().rows("cells").unwrap().collect();
+        assert_eq!(rows[0].as_ref().unwrap().num("lb").unwrap(), 1.0);
+        let err = rows[1].as_ref().unwrap().num("lb").unwrap_err().to_string();
+        assert!(
+            err.contains("cells[1].lb") && err.contains("line 6"),
+            "{err}"
+        );
+        let missing = doc.fields().opt("absent", Fields::u64).unwrap();
+        assert_eq!(missing, None);
+
+        let err = Doc::parse(&text, "spp-other", 2).err().unwrap().to_string();
+        assert!(
+            err.contains("spp-other") && err.contains("spp-test"),
+            "{err}"
+        );
+        let err = Doc::parse(&text, "spp-test", 1).err().unwrap().to_string();
+        assert!(err.contains("unsupported wire version 2"), "{err}");
     }
 
     #[test]

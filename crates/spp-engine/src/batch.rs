@@ -16,6 +16,7 @@
 
 use std::time::Duration;
 
+use spp_core::json::{Fields, FileFormatError};
 use spp_core::InstanceDigest;
 
 use crate::cache::{CacheError, CacheKey, CachedCell, SolveCache};
@@ -53,6 +54,12 @@ impl CellStatus {
             "invalid" => Some(CellStatus::Invalid),
             _ => None,
         }
+    }
+
+    /// The `status` field of a wire document.
+    pub(crate) fn read(f: &Fields<'_>) -> Result<Self, FileFormatError> {
+        let s = f.str("status")?;
+        CellStatus::parse(s).ok_or_else(|| f.err("status", format!("unknown status {s:?}")))
     }
 }
 

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use spp_core::hash::Fnv1a;
-use spp_core::json::{self, JsonValue};
+use spp_core::json::{Doc, Fields, FileFormatError, Writer};
 use spp_core::InstanceDigest;
 
 use crate::batch::CellStatus;
@@ -141,71 +141,46 @@ const ENTRY_VERSION: u64 = 1;
 
 /// Serialize one entry as a canonical `spp-cache-entry` document.
 pub fn entry_to_json(key: &CacheKey, cell: &CachedCell) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"format\": \"{ENTRY_FORMAT}\",");
-    let _ = writeln!(out, "  \"version\": {ENTRY_VERSION},");
-    let _ = writeln!(out, "  \"instance\": \"{}\",", key.digest);
-    let _ = writeln!(out, "  \"solver\": \"{}\",", json::escape(&key.solver));
-    let _ = writeln!(out, "  \"config\": \"{}\",", json::escape(&key.config_sig));
-    let _ = writeln!(out, "  \"status\": \"{}\",", cell.status.as_str());
+    let mut w = Writer::new(ENTRY_FORMAT, ENTRY_VERSION);
+    w.str("instance", &key.digest.to_string())
+        .str("solver", &key.solver)
+        .str("config", &key.config_sig)
+        .str("status", cell.status.as_str());
     // Optional field, emitted only for improved cells so pre-anytime
     // entries and one-shot entries share one canonical form.
     if let Some(seed) = cell.improved_from {
-        let _ = writeln!(out, "  \"improved_from\": {seed:.17e},");
+        w.num("improved_from", seed);
     }
-    let _ = writeln!(out, "  \"makespan\": {:.17e},", cell.makespan);
-    let _ = writeln!(out, "  \"lb\": {:.17e}", cell.combined_lb);
-    out.push_str("}\n");
-    out
+    w.num("makespan", cell.makespan).num("lb", cell.combined_lb);
+    w.finish()
 }
 
 /// Parse an entry document back into its key and value. Any deviation —
 /// syntax, schema, unknown status, wrong format tag — is an `Err` whose
 /// message names the problem; callers treat it as "not a cache entry".
 pub fn entry_parse(text: &str) -> Result<(CacheKey, CachedCell), String> {
-    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let obj = json::as_obj(&doc, "$").map_err(|e| e.to_string())?;
-    let field = |name: &str| json::get_field(obj, &doc, name).map_err(|e| e.to_string());
-    let str_field = |name: &str| -> Result<String, String> {
-        json::as_str(field(name)?, name)
-            .map(str::to_string)
-            .map_err(|e| e.to_string())
-    };
+    entry_read(text).map_err(|e| e.to_string())
+}
 
-    if str_field("format")? != ENTRY_FORMAT {
-        return Err(format!("format tag is not {ENTRY_FORMAT:?}"));
-    }
-    if json::as_u64(field("version")?, "version").map_err(|e| e.to_string())? != ENTRY_VERSION {
-        return Err("unsupported cache entry version".to_string());
-    }
-    let digest_str = str_field("instance")?;
-    let digest = InstanceDigest::parse(&digest_str)
-        .ok_or_else(|| format!("bad instance digest {digest_str:?}"))?;
-    let status_str = str_field("status")?;
-    let status =
-        CellStatus::parse(&status_str).ok_or_else(|| format!("unknown status {status_str:?}"))?;
-    let num = |v: &JsonValue, name: &str| -> Result<f64, String> {
-        json::as_num(v, name).map_err(|e| e.to_string())
-    };
-    // `improved_from` arrived with the anytime layer; absence means a
-    // one-shot (or pre-anytime) entry, so old documents keep parsing.
-    let improved_from = match json::get_field(obj, &doc, "improved_from") {
-        Ok(v) => Some(num(v, "improved_from")?),
-        Err(_) => None,
-    };
+fn entry_read(text: &str) -> Result<(CacheKey, CachedCell), FileFormatError> {
+    let doc = Doc::parse(text, ENTRY_FORMAT, ENTRY_VERSION)?;
+    let d = doc.fields();
+    let digest = d.str("instance")?;
+    let digest = InstanceDigest::parse(digest)
+        .ok_or_else(|| d.err("instance", format!("bad instance digest {digest:?}")))?;
     Ok((
         CacheKey {
             digest,
-            solver: str_field("solver")?,
-            config_sig: str_field("config")?,
+            solver: d.str("solver")?.to_string(),
+            config_sig: d.str("config")?.to_string(),
         },
         CachedCell {
-            status,
-            makespan: num(field("makespan")?, "makespan")?,
-            combined_lb: num(field("lb")?, "lb")?,
-            improved_from,
+            status: CellStatus::read(&d)?,
+            makespan: d.num("makespan")?,
+            combined_lb: d.num("lb")?,
+            // `improved_from` arrived with the anytime layer; absence
+            // means a one-shot (or pre-anytime) entry.
+            improved_from: d.opt("improved_from", Fields::num)?,
         },
     ))
 }

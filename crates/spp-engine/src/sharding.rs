@@ -46,15 +46,15 @@
 //! misses.
 //!
 //! Shard reports serialize as JSON (`spp-shard-report` documents) through
-//! the same hand-rolled layer as instance files, with `{:.17e}` floats,
-//! so a merge across processes loses no precision.
+//! the same `spp_core::json` codec as instance files, with `{:.17e}`
+//! floats, so a merge across processes loses no precision.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use spp_core::hash::Fnv1a;
-use spp_core::json::{self, JsonValue};
+use spp_core::json::{Doc, Fields, FileFormatError, Writer};
 
 use crate::batch::CellStatus;
 use crate::cache::{CacheError, SolveCache};
@@ -356,149 +356,85 @@ impl ShardRuntime {
     }
 }
 
-/// Canonical single-line JSON object for one cell — the shared row
-/// schema of shard reports, merged reports, and `spp-work-complete`
-/// documents (one serialization, so the formats cannot drift apart).
-pub fn cell_to_json(c: &CellRow) -> String {
-    format!(
-        "{{\"job\": {}, \"label\": \"{}\", \"solver\": \"{}\", \"status\": \"{}\", \"makespan\": {:.17e}, \"lb\": {:.17e}}}",
-        c.job,
-        json::escape(&c.label),
-        json::escape(&c.solver),
-        c.status.as_str(),
-        c.makespan,
-        c.combined_lb
-    )
+/// Write `cells` as the `cells` row array — the shared row schema of
+/// shard reports, merged reports and `spp-work-complete` documents (one
+/// serialization, so the formats cannot drift apart).
+pub(crate) fn write_cells(w: &mut Writer, cells: &[CellRow]) {
+    w.rows("cells");
+    for c in cells {
+        w.row()
+            .int("job", c.job as u64)
+            .str("label", &c.label)
+            .str("solver", &c.solver)
+            .str("status", c.status.as_str())
+            .num("makespan", c.makespan)
+            .num("lb", c.combined_lb)
+            .end();
+    }
+    w.end();
 }
 
-/// Inverse of [`cell_to_json`] for one parsed JSON value; `ctx` names
-/// the value in error messages (e.g. `cells[3]`).
-pub fn cell_parse(cv: &JsonValue, ctx: &str) -> Result<CellRow, String> {
-    let schema = |e: spp_core::json::FileFormatError| e.to_string();
-    let path = |name: &str| format!("{ctx}.{name}");
-    let cobj = json::as_obj(cv, ctx).map_err(schema)?;
-    let cfield = |name: &str| json::get_field(cobj, cv, name).map_err(schema);
-    let status_str = json::as_str(cfield("status")?, &path("status")).map_err(schema)?;
-    let status = CellStatus::parse(status_str)
-        .ok_or_else(|| format!("{ctx}: unknown status {status_str:?}"))?;
-    Ok(CellRow {
-        job: json::as_u64(cfield("job")?, &path("job")).map_err(schema)? as usize,
-        label: json::as_str(cfield("label")?, &path("label"))
-            .map_err(schema)?
-            .to_string(),
-        solver: json::as_str(cfield("solver")?, &path("solver"))
-            .map_err(schema)?
-            .to_string(),
-        status,
-        makespan: json::as_num(cfield("makespan")?, &path("makespan")).map_err(schema)?,
-        combined_lb: json::as_num(cfield("lb")?, &path("lb")).map_err(schema)?,
-    })
+/// Inverse of [`write_cells`].
+pub(crate) fn read_cells(d: &Fields<'_>) -> Result<Vec<CellRow>, FileFormatError> {
+    d.rows("cells")?
+        .map(|row| {
+            let row = row?;
+            Ok(CellRow {
+                job: row.u64("job")? as usize,
+                label: row.str("label")?.to_string(),
+                solver: row.str("solver")?.to_string(),
+                status: CellStatus::read(&row)?,
+                makespan: row.num("makespan")?,
+                combined_lb: row.num("lb")?,
+            })
+        })
+        .collect()
 }
 
 const REPORT_FORMAT: &str = "spp-shard-report";
 const MERGED_FORMAT: &str = "spp-merged-report";
 const REPORT_VERSION: u64 = 1;
 
+fn bad_report(context: &str) -> impl Fn(FileFormatError) -> ShardError + '_ {
+    move |e| ShardError::BadReport {
+        context: context.into(),
+        err: e.to_string(),
+    }
+}
+
 impl ShardReport {
     /// Serialize as a canonical `spp-shard-report` JSON document.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"format\": \"{REPORT_FORMAT}\",");
-        let _ = writeln!(out, "  \"version\": {REPORT_VERSION},");
-        let _ = writeln!(out, "  \"shard\": {},", self.shard);
-        let _ = writeln!(out, "  \"shards\": {},", self.shards);
-        let solvers: Vec<String> = self
-            .solvers
-            .iter()
-            .map(|s| format!("\"{}\"", json::escape(s)))
-            .collect();
-        let _ = writeln!(out, "  \"solvers\": [{}],", solvers.join(", "));
-        let inputs: Vec<String> = self
-            .inputs
-            .iter()
-            .map(|p| format!("\"{}\"", json::escape(p)))
-            .collect();
-        let _ = writeln!(out, "  \"inputs\": [{}],", inputs.join(", "));
-        let _ = writeln!(out, "  \"plan\": \"{}\",", json::escape(&self.plan_fp));
-        let _ = writeln!(out, "  \"config\": \"{}\",", json::escape(&self.config_sig));
-        out.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}{sep}", cell_to_json(c));
-        }
-        out.push_str(if self.cells.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        let mut w = Writer::new(REPORT_FORMAT, REPORT_VERSION);
+        w.int("shard", self.shard as u64)
+            .int("shards", self.shards as u64)
+            .strs("solvers", &self.solvers)
+            .strs("inputs", &self.inputs)
+            .str("plan", &self.plan_fp)
+            .str("config", &self.config_sig);
+        write_cells(&mut w, &self.cells);
+        w.finish()
     }
 
-    /// Parse a document produced by [`Self::to_json`]. Schema mapping
-    /// reuses the typed accessors of `spp_core::json` (one implementation,
-    /// one error style, shared with the instance-file format); unknown
-    /// fields are tolerated here for forward compatibility — a report is
-    /// machine output, unlike hand-written instance files.
+    /// Parse a document produced by [`Self::to_json`]. Unknown fields are
+    /// tolerated for forward compatibility — a report is machine output,
+    /// unlike hand-written instance files.
     pub fn parse(text: &str) -> Result<Self, ShardError> {
-        let bad = |err: String| ShardError::BadReport {
-            context: "shard report".into(),
-            err,
+        let read = || -> Result<Self, FileFormatError> {
+            let doc = Doc::parse(text, REPORT_FORMAT, REPORT_VERSION)?;
+            let d = doc.fields();
+            Ok(ShardReport {
+                shard: d.u64("shard")? as usize,
+                shards: d.u64("shards")? as usize,
+                solvers: d.strs("solvers")?,
+                inputs: d.strs("inputs")?,
+                plan_fp: d.str("plan")?.to_string(),
+                config_sig: d.str("config")?.to_string(),
+                cells: read_cells(&d)?,
+                runtime: None,
+            })
         };
-        let schema = |e: spp_core::json::FileFormatError| bad(e.to_string());
-        let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        let obj = json::as_obj(&doc, "$").map_err(schema)?;
-        let field = |name: &str| json::get_field(obj, &doc, name).map_err(schema);
-        let int =
-            |v: &JsonValue, name: &str| json::as_u64(v, name).map(|x| x as usize).map_err(schema);
-        let strings = |v: &JsonValue, name: &str| -> Result<Vec<String>, ShardError> {
-            json::as_arr(v, name)
-                .map_err(schema)?
-                .iter()
-                .enumerate()
-                .map(|(i, sv)| {
-                    json::as_str(sv, &format!("{name}[{i}]"))
-                        .map(str::to_string)
-                        .map_err(schema)
-                })
-                .collect()
-        };
-
-        let format = json::as_str(field("format")?, "format").map_err(schema)?;
-        if format != REPORT_FORMAT {
-            return Err(bad(format!("format tag is not {REPORT_FORMAT:?}")));
-        }
-        if int(field("version")?, "version")? != REPORT_VERSION as usize {
-            return Err(bad("unsupported report version".into()));
-        }
-        let shard = int(field("shard")?, "shard")?;
-        let shards = int(field("shards")?, "shards")?;
-        let solvers = strings(field("solvers")?, "solvers")?;
-        let inputs = strings(field("inputs")?, "inputs")?;
-        let plan_fp = json::as_str(field("plan")?, "plan")
-            .map_err(schema)?
-            .to_string();
-        let config_sig = json::as_str(field("config")?, "config")
-            .map_err(schema)?
-            .to_string();
-
-        let cells_raw = json::as_arr(field("cells")?, "cells").map_err(schema)?;
-        let mut cells = Vec::with_capacity(cells_raw.len());
-        for (i, cv) in cells_raw.iter().enumerate() {
-            cells.push(cell_parse(cv, &format!("cells[{i}]")).map_err(&bad)?);
-        }
-        Ok(ShardReport {
-            shard,
-            shards,
-            solvers,
-            inputs,
-            plan_fp,
-            config_sig,
-            cells,
-            runtime: None,
-        })
+        read().map_err(bad_report("shard report"))
     }
 }
 
@@ -614,64 +550,23 @@ impl MergedReport {
     /// the dispatcher's `GET /work/report` hands to the thin
     /// `spp batch --dispatcher-url` client.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"format\": \"{MERGED_FORMAT}\",");
-        let _ = writeln!(out, "  \"version\": {REPORT_VERSION},");
-        let solvers: Vec<String> = self
-            .solvers
-            .iter()
-            .map(|s| format!("\"{}\"", json::escape(s)))
-            .collect();
-        let _ = writeln!(out, "  \"solvers\": [{}],", solvers.join(", "));
-        out.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}{sep}", cell_to_json(c));
-        }
-        out.push_str(if self.cells.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        let mut w = Writer::new(MERGED_FORMAT, REPORT_VERSION);
+        w.strs("solvers", &self.solvers);
+        write_cells(&mut w, &self.cells);
+        w.finish()
     }
 
     /// Parse a document produced by [`Self::to_json`].
     pub fn parse(text: &str) -> Result<Self, ShardError> {
-        let bad = |err: String| ShardError::BadReport {
-            context: "merged report".into(),
-            err,
-        };
-        let schema = |e: spp_core::json::FileFormatError| bad(e.to_string());
-        let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        let obj = json::as_obj(&doc, "$").map_err(schema)?;
-        let field = |name: &str| json::get_field(obj, &doc, name).map_err(schema);
-        let format = json::as_str(field("format")?, "format").map_err(schema)?;
-        if format != MERGED_FORMAT {
-            return Err(bad(format!("format tag is not {MERGED_FORMAT:?}")));
-        }
-        if json::as_u64(field("version")?, "version").map_err(schema)? != REPORT_VERSION {
-            return Err(bad("unsupported report version".into()));
-        }
-        let solvers = json::as_arr(field("solvers")?, "solvers")
-            .map_err(schema)?
-            .iter()
-            .enumerate()
-            .map(|(i, sv)| {
-                json::as_str(sv, &format!("solvers[{i}]"))
-                    .map(str::to_string)
-                    .map_err(schema)
+        let read = || -> Result<Self, FileFormatError> {
+            let doc = Doc::parse(text, MERGED_FORMAT, REPORT_VERSION)?;
+            let d = doc.fields();
+            Ok(MergedReport {
+                solvers: d.strs("solvers")?,
+                cells: read_cells(&d)?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        let cells_raw = json::as_arr(field("cells")?, "cells").map_err(schema)?;
-        let mut cells = Vec::with_capacity(cells_raw.len());
-        for (i, cv) in cells_raw.iter().enumerate() {
-            cells.push(cell_parse(cv, &format!("cells[{i}]")).map_err(&bad)?);
-        }
-        Ok(MergedReport { solvers, cells })
+        };
+        read().map_err(bad_report("merged report"))
     }
 
     /// One line per cell (full `{:.17e}` precision) for diff-based

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use spp_core::json::{self, JsonValue};
+use spp_core::json::{Doc, Fields, FileFormatError, Writer};
 
 use crate::batch::{execute_cells, BatchJob};
 use crate::cache::{CacheError, SolveCache};
@@ -633,254 +633,136 @@ const COMPLETE_FORMAT: &str = "spp-work-complete";
 const STATUS_FORMAT: &str = "spp-work-status";
 const WORK_WIRE_VERSION: u64 = 1;
 
-fn config_fields_to_json(out: &mut String, config: &SolveConfig) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "  \"epsilon\": {:.17e},", config.epsilon);
-    let _ = writeln!(out, "  \"k\": {},", config.k);
-    let _ = writeln!(out, "  \"shelf_r\": {:.17e},", config.shelf_r);
-    let _ = writeln!(out, "  \"strict\": {},", config.strict);
-    let _ = writeln!(out, "  \"validate\": {},", config.validate);
-    let _ = writeln!(out, "  \"budget_ms\": {},", config.budget_ms);
-    let _ = writeln!(out, "  \"improve_seed\": {},", config.improve_seed);
-    let _ = writeln!(out, "  \"improve_streams\": {},", config.improve_streams);
-    let _ = writeln!(out, "  \"improve_envelope\": {},", config.improve_envelope);
-}
-
-fn as_bool(v: &JsonValue, name: &str) -> Result<bool, String> {
-    match v.json {
-        json::Json::Bool(b) => Ok(b),
-        _ => Err(format!(
-            "{name}: expected bool, found {}",
-            v.json.type_name()
-        )),
-    }
-}
-
-/// Reject documents from a future wire version instead of silently
-/// misreading them as v1 (same discipline as the report parsers in
-/// `sharding`).
-fn check_wire_version(v: &JsonValue) -> Result<(), String> {
-    let version = json::as_u64(v, "version").map_err(|e| e.to_string())?;
-    if version != WORK_WIRE_VERSION {
-        return Err(format!(
-            "unsupported wire version {version} (this binary speaks {WORK_WIRE_VERSION})"
-        ));
-    }
-    Ok(())
+fn protocol(context: &'static str) -> impl Fn(FileFormatError) -> WorkError {
+    move |e| WorkError::protocol(context, e)
 }
 
 /// Serialize a grant as an `spp-work-lease` document (the
 /// `POST /work/lease` response body).
 pub fn grant_to_json(grant: &LeaseGrant, deadline_secs: Option<u64>) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"format\": \"{LEASE_FORMAT}\",");
-    let _ = writeln!(out, "  \"version\": {WORK_WIRE_VERSION},");
+    let mut w = Writer::new(LEASE_FORMAT, WORK_WIRE_VERSION);
     match grant {
         LeaseGrant::Wait => {
-            let _ = writeln!(out, "  \"grant\": \"wait\"");
+            w.str("grant", "wait");
         }
         LeaseGrant::Done => {
-            let _ = writeln!(out, "  \"grant\": \"done\"");
+            w.str("grant", "done");
         }
         LeaseGrant::Work(lease) => {
-            let _ = writeln!(out, "  \"grant\": \"work\",");
-            let _ = writeln!(out, "  \"lease\": {},", lease.id);
-            let _ = writeln!(out, "  \"index\": {},", lease.index);
-            let _ = writeln!(out, "  \"start\": {},", lease.start);
-            let paths: Vec<String> = lease
-                .paths
-                .iter()
-                .map(|p| format!("\"{}\"", json::escape(&p.display().to_string())))
-                .collect();
-            let _ = writeln!(out, "  \"paths\": [{}],", paths.join(", "));
-            let solvers: Vec<String> = lease
-                .solvers
-                .iter()
-                .map(|s| format!("\"{}\"", json::escape(s)))
-                .collect();
-            let _ = writeln!(out, "  \"solvers\": [{}],", solvers.join(", "));
-            config_fields_to_json(&mut out, &lease.config);
-            let _ = writeln!(out, "  \"deadline_secs\": {}", deadline_secs.unwrap_or(0));
+            let c = &lease.config;
+            w.str("grant", "work")
+                .int("lease", lease.id)
+                .int("index", lease.index as u64)
+                .int("start", lease.start as u64)
+                .strs("paths", lease.paths.iter().map(|p| p.display().to_string()))
+                .strs("solvers", &lease.solvers)
+                .num("epsilon", c.epsilon)
+                .int("k", c.k as u64)
+                .num("shelf_r", c.shelf_r)
+                .bool("strict", c.strict)
+                .bool("validate", c.validate)
+                .int("budget_ms", c.budget_ms)
+                .int("improve_seed", c.improve_seed)
+                .int("improve_streams", c.improve_streams)
+                .bool("improve_envelope", c.improve_envelope)
+                .int("deadline_secs", deadline_secs.unwrap_or(0));
         }
     }
-    out.push_str("}\n");
-    out
+    w.finish()
 }
 
 /// Parse an `spp-work-lease` document.
 pub fn grant_parse(text: &str) -> Result<LeaseGrant, WorkError> {
-    let bad = |err: String| WorkError::protocol("work lease", err);
-    let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    let obj = json::as_obj(&doc, "$").map_err(|e| bad(e.to_string()))?;
-    let field = |name: &str| json::get_field(obj, &doc, name).map_err(|e| bad(e.to_string()));
-    let str_of = |v: &JsonValue, name: &str| -> Result<String, WorkError> {
-        json::as_str(v, name)
-            .map(str::to_string)
-            .map_err(|e| bad(e.to_string()))
+    let read = || -> Result<LeaseGrant, FileFormatError> {
+        let doc = Doc::parse(text, LEASE_FORMAT, WORK_WIRE_VERSION)?;
+        let d = doc.fields();
+        Ok(match d.str("grant")? {
+            "wait" => LeaseGrant::Wait,
+            "done" => LeaseGrant::Done,
+            "work" => LeaseGrant::Work(WorkLease {
+                id: d.u64("lease")?,
+                index: d.u64("index")? as usize,
+                start: d.u64("start")? as usize,
+                paths: d.strs("paths")?.into_iter().map(PathBuf::from).collect(),
+                solvers: d.strs("solvers")?,
+                config: SolveConfig {
+                    epsilon: d.num("epsilon")?,
+                    k: d.u64("k")? as usize,
+                    shelf_r: d.num("shelf_r")?,
+                    strict: d.bool("strict")?,
+                    validate: d.bool("validate")?,
+                    // Absent on pre-anytime leases: one-shot solving.
+                    budget_ms: d.opt("budget_ms", Fields::u64)?.unwrap_or(0),
+                    improve_seed: d.opt("improve_seed", Fields::u64)?.unwrap_or(0),
+                    // Absent on pre-portfolio leases: one stream, no
+                    // shared envelope.
+                    improve_streams: d.opt("improve_streams", Fields::u64)?.unwrap_or(1),
+                    improve_envelope: d.opt("improve_envelope", Fields::bool)?.unwrap_or(false),
+                    // Execution detail, never serialized: each worker
+                    // picks its own parallelism.
+                    improve_workers: 0,
+                },
+            }),
+            other => return Err(d.err("grant", format!("unknown grant kind {other:?}"))),
+        })
     };
-    if str_of(field("format")?, "format")? != LEASE_FORMAT {
-        return Err(bad(format!("format tag is not {LEASE_FORMAT:?}")));
-    }
-    check_wire_version(field("version")?).map_err(&bad)?;
-    match str_of(field("grant")?, "grant")?.as_str() {
-        "wait" => Ok(LeaseGrant::Wait),
-        "done" => Ok(LeaseGrant::Done),
-        "work" => {
-            let int = |name: &str| -> Result<u64, WorkError> {
-                json::as_u64(field(name)?, name).map_err(|e| bad(e.to_string()))
-            };
-            let num = |name: &str| -> Result<f64, WorkError> {
-                json::as_num(field(name)?, name).map_err(|e| bad(e.to_string()))
-            };
-            let strings = |name: &str| -> Result<Vec<String>, WorkError> {
-                json::as_arr(field(name)?, name)
-                    .map_err(|e| bad(e.to_string()))?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sv)| str_of(sv, &format!("{name}[{i}]")))
-                    .collect()
-            };
-            // Absent on pre-anytime leases: default to one-shot solving.
-            let opt_int = |name: &str| -> Result<u64, WorkError> {
-                match json::get_field(obj, &doc, name) {
-                    Ok(v) => json::as_u64(v, name).map_err(|e| bad(e.to_string())),
-                    Err(_) => Ok(0),
-                }
-            };
-            // Absent on pre-portfolio leases: default to one stream, no
-            // shared envelope (the pre-portfolio behavior).
-            let opt_int_default = |name: &str, default: u64| -> Result<u64, WorkError> {
-                match json::get_field(obj, &doc, name) {
-                    Ok(v) => json::as_u64(v, name).map_err(|e| bad(e.to_string())),
-                    Err(_) => Ok(default),
-                }
-            };
-            let opt_bool = |name: &str| -> Result<bool, WorkError> {
-                match json::get_field(obj, &doc, name) {
-                    Ok(v) => as_bool(v, name).map_err(&bad),
-                    Err(_) => Ok(false),
-                }
-            };
-            let config = SolveConfig {
-                epsilon: num("epsilon")?,
-                k: int("k")? as usize,
-                shelf_r: num("shelf_r")?,
-                strict: as_bool(field("strict")?, "strict").map_err(&bad)?,
-                validate: as_bool(field("validate")?, "validate").map_err(&bad)?,
-                budget_ms: opt_int("budget_ms")?,
-                improve_seed: opt_int("improve_seed")?,
-                improve_streams: opt_int_default("improve_streams", 1)?,
-                improve_envelope: opt_bool("improve_envelope")?,
-                // Execution detail, never serialized: each worker picks
-                // its own parallelism.
-                improve_workers: 0,
-            };
-            Ok(LeaseGrant::Work(WorkLease {
-                id: int("lease")?,
-                index: int("index")? as usize,
-                start: int("start")? as usize,
-                paths: strings("paths")?.into_iter().map(PathBuf::from).collect(),
-                solvers: strings("solvers")?,
-                config,
-            }))
-        }
-        other => Err(bad(format!("unknown grant kind {other:?}"))),
-    }
+    read().map_err(protocol("work lease"))
 }
 
 /// Serialize a completion as an `spp-work-complete` document (the
 /// `POST /work/complete` request body).
 pub fn complete_to_json(lease_id: u64, start: usize, cells: &[CellRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"format\": \"{COMPLETE_FORMAT}\",");
-    let _ = writeln!(out, "  \"version\": {WORK_WIRE_VERSION},");
-    let _ = writeln!(out, "  \"lease\": {lease_id},");
-    let _ = writeln!(out, "  \"start\": {start},");
-    out.push_str("  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 < cells.len() { "," } else { "" };
-        let _ = write!(out, "\n    {}{sep}", crate::sharding::cell_to_json(c));
-    }
-    out.push_str(if cells.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
+    let mut w = Writer::new(COMPLETE_FORMAT, WORK_WIRE_VERSION);
+    w.int("lease", lease_id).int("start", start as u64);
+    crate::sharding::write_cells(&mut w, cells);
+    w.finish()
 }
 
 /// Parse an `spp-work-complete` document into `(lease id, start, cells)`.
 pub fn complete_parse(text: &str) -> Result<(u64, usize, Vec<CellRow>), WorkError> {
-    let bad = |err: String| WorkError::protocol("work completion", err);
-    let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    let obj = json::as_obj(&doc, "$").map_err(|e| bad(e.to_string()))?;
-    let field = |name: &str| json::get_field(obj, &doc, name).map_err(|e| bad(e.to_string()));
-    let format = json::as_str(field("format")?, "format").map_err(|e| bad(e.to_string()))?;
-    if format != COMPLETE_FORMAT {
-        return Err(bad(format!("format tag is not {COMPLETE_FORMAT:?}")));
-    }
-    check_wire_version(field("version")?).map_err(&bad)?;
-    let int = |name: &str| -> Result<u64, WorkError> {
-        json::as_u64(field(name)?, name).map_err(|e| bad(e.to_string()))
+    let read = || -> Result<(u64, usize, Vec<CellRow>), FileFormatError> {
+        let doc = Doc::parse(text, COMPLETE_FORMAT, WORK_WIRE_VERSION)?;
+        let d = doc.fields();
+        let cells = crate::sharding::read_cells(&d)?;
+        Ok((d.u64("lease")?, d.u64("start")? as usize, cells))
     };
-    let cells_raw = json::as_arr(field("cells")?, "cells").map_err(|e| bad(e.to_string()))?;
-    let mut cells = Vec::with_capacity(cells_raw.len());
-    for (i, cv) in cells_raw.iter().enumerate() {
-        cells.push(
-            crate::sharding::cell_parse(cv, &format!("cells[{i}]"))
-                .map_err(|e| bad(e.to_string()))?,
-        );
-    }
-    Ok((int("lease")?, int("start")? as usize, cells))
+    read().map_err(protocol("work completion"))
 }
 
 /// Serialize a status snapshot as an `spp-work-status` document (the
 /// `GET /work/status` response body).
 pub fn status_to_json(status: &WorkStatus) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"format\": \"{STATUS_FORMAT}\",");
-    let _ = writeln!(out, "  \"version\": {WORK_WIRE_VERSION},");
-    let _ = writeln!(out, "  \"jobs\": {},", status.jobs);
-    let _ = writeln!(out, "  \"chunks\": {},", status.chunks);
-    let _ = writeln!(out, "  \"completed_chunks\": {},", status.completed_chunks);
-    let _ = writeln!(out, "  \"pending\": {},", status.pending);
-    let _ = writeln!(out, "  \"outstanding\": {},", status.outstanding);
-    let _ = writeln!(out, "  \"leases\": {},", status.leases);
-    let _ = writeln!(out, "  \"requeued\": {},", status.requeued);
-    let _ = writeln!(out, "  \"duplicates\": {},", status.duplicates);
-    let _ = writeln!(out, "  \"done\": {}", status.done);
-    out.push_str("}\n");
-    out
+    let mut w = Writer::new(STATUS_FORMAT, WORK_WIRE_VERSION);
+    w.int("jobs", status.jobs as u64)
+        .int("chunks", status.chunks as u64)
+        .int("completed_chunks", status.completed_chunks as u64)
+        .int("pending", status.pending as u64)
+        .int("outstanding", status.outstanding as u64)
+        .int("leases", status.leases)
+        .int("requeued", status.requeued)
+        .int("duplicates", status.duplicates)
+        .bool("done", status.done);
+    w.finish()
 }
 
 /// Parse an `spp-work-status` document.
 pub fn status_parse(text: &str) -> Result<WorkStatus, WorkError> {
-    let bad = |err: String| WorkError::protocol("work status", err);
-    let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    let obj = json::as_obj(&doc, "$").map_err(|e| bad(e.to_string()))?;
-    let field = |name: &str| json::get_field(obj, &doc, name).map_err(|e| bad(e.to_string()));
-    let format = json::as_str(field("format")?, "format").map_err(|e| bad(e.to_string()))?;
-    if format != STATUS_FORMAT {
-        return Err(bad(format!("format tag is not {STATUS_FORMAT:?}")));
-    }
-    check_wire_version(field("version")?).map_err(&bad)?;
-    let int = |name: &str| -> Result<u64, WorkError> {
-        json::as_u64(field(name)?, name).map_err(|e| bad(e.to_string()))
+    let read = || -> Result<WorkStatus, FileFormatError> {
+        let doc = Doc::parse(text, STATUS_FORMAT, WORK_WIRE_VERSION)?;
+        let d = doc.fields();
+        Ok(WorkStatus {
+            jobs: d.u64("jobs")? as usize,
+            chunks: d.u64("chunks")? as usize,
+            completed_chunks: d.u64("completed_chunks")? as usize,
+            pending: d.u64("pending")? as usize,
+            outstanding: d.u64("outstanding")? as usize,
+            leases: d.u64("leases")?,
+            requeued: d.u64("requeued")?,
+            duplicates: d.u64("duplicates")?,
+            done: d.bool("done")?,
+        })
     };
-    Ok(WorkStatus {
-        jobs: int("jobs")? as usize,
-        chunks: int("chunks")? as usize,
-        completed_chunks: int("completed_chunks")? as usize,
-        pending: int("pending")? as usize,
-        outstanding: int("outstanding")? as usize,
-        leases: int("leases")?,
-        requeued: int("requeued")?,
-        duplicates: int("duplicates")?,
-        done: as_bool(field("done")?, "done").map_err(bad)?,
-    })
+    read().map_err(protocol("work status"))
 }
 
 #[cfg(test)]
@@ -1152,6 +1034,19 @@ mod tests {
             panic!("expected work grant");
         };
         assert_eq!(back.config.signature(), lease.config.signature());
+        // ...including seeds past f64's exact integer range, which would
+        // otherwise come back rounded and search a different sequence.
+        for seed in [(1u64 << 53) + 1, 12345678901234567891, u64::MAX] {
+            let mut wide = lease.clone();
+            wide.config.improve_seed = seed;
+            let LeaseGrant::Work(back) =
+                grant_parse(&grant_to_json(&LeaseGrant::Work(wide.clone()), None)).unwrap()
+            else {
+                panic!("expected work grant");
+            };
+            assert_eq!(back.config.improve_seed, seed);
+            assert_eq!(back.config.signature(), wide.config.signature());
+        }
 
         let cells = rows_for(&lease);
         let text = complete_to_json(7, 4, &cells);

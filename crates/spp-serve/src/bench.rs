@@ -8,10 +8,10 @@
 //! take:
 //!
 //! * [`Mode::Keepalive`] — each client thread reuses one persistent
-//!   connection via [`http::pooled_roundtrip`], exactly the transport
-//!   `HttpCache` and `RemoteLease` ride;
+//!   connection ([`http::Policy::Pooled`]), the transport `HttpCache`
+//!   and `RemoteLease` ride (minus their one retry);
 //! * [`Mode::Close`] — one connection per request
-//!   ([`http::roundtrip`]), the pre-keep-alive behavior, kept as the
+//!   ([`http::Policy::Close`]), the pre-keep-alive behavior, kept as the
 //!   baseline that keep-alive must beat.
 //!
 //! Two pacing disciplines:
@@ -254,20 +254,17 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchResult {
                             }
                         }
                         fired += 1;
-                        let outcome = match cfg.mode {
-                            Mode::Keepalive => http::pooled_roundtrip(
-                                &cfg.authority,
-                                &cfg.target.method,
-                                &cfg.target.path_and_query,
-                                &cfg.target.body,
-                            ),
-                            Mode::Close => http::roundtrip(
-                                &cfg.authority,
-                                &cfg.target.method,
-                                &cfg.target.path_and_query,
-                                &cfg.target.body,
-                            ),
-                        };
+                        let outcome = http::roundtrip(
+                            &cfg.authority,
+                            &cfg.target.method,
+                            &cfg.target.path_and_query,
+                            &cfg.target.body,
+                            None,
+                            match cfg.mode {
+                                Mode::Keepalive => http::Policy::Pooled,
+                                Mode::Close => http::Policy::Close,
+                            },
+                        );
                         match outcome {
                             Ok(response) if response.status < 400 => {
                                 requests.fetch_add(1, Ordering::Relaxed);

@@ -18,13 +18,13 @@
 //! recomputation, exactly like a damaged file in a `DiskCache` directory.
 //!
 //! Transient transport faults get **one bounded retry**
-//! ([`http::roundtrip_retry`]): a reset connection or timeout on `get`
+//! ([`http::Policy::PooledRetry`]): a reset connection or timeout on `get`
 //! or `put` sleeps briefly and tries once more before the usual
 //! degradation applies (cold-cache miss on `get`, loud error on `put`),
 //! so a momentarily busy server does not turn a warm run cold.
 //!
 //! Transport is **pooled keep-alive**: each calling thread reuses one
-//! persistent connection per server ([`http::pooled_roundtrip`]), so a
+//! persistent connection per server ([`http::Policy::Pooled`]), so a
 //! warm batch run pays TCP setup once per thread, not once per cell. A
 //! pooled socket the server closed in the meantime (idle timeout,
 //! request budget) is replaced transparently — that race is expected,
@@ -108,12 +108,13 @@ impl HttpCache {
             return PutOutcome::Written;
         }
         let body = entry_to_json(key, cell);
-        let response = match http::roundtrip_retry_auth(
+        let response = match http::roundtrip(
             &self.authority,
             "PUT",
             &Self::path_for(key),
             &body,
             self.token.as_deref(),
+            http::Policy::PooledRetry,
         ) {
             Ok(r) => r,
             Err(e) => {
@@ -157,12 +158,13 @@ impl SolveCache for HttpCache {
             }
             None
         };
-        let response = match http::roundtrip_retry_auth(
+        let response = match http::roundtrip(
             &self.authority,
             "GET",
             &Self::path_for(key),
             "",
             self.token.as_deref(),
+            http::Policy::PooledRetry,
         ) {
             Ok(r) => r,
             Err(_) => return miss(false), // unreachable server = cold cache
@@ -261,7 +263,7 @@ mod tests {
                 } else {
                     (204, "")
                 };
-                let _ = http::write_response(&stream, status, "application/json", reply);
+                let _ = http::write_response(&stream, status, "application/json", reply, true, &[]);
             }
         });
         addr

@@ -26,8 +26,10 @@
 //! deadline ([`HttpError::Deadline`], the slowloris guard) from a
 //! genuinely broken or malformed exchange.
 //!
-//! The client side keeps one open [`Conn`] per `(thread, authority)` in
-//! a thread-local pool ([`pooled_roundtrip`]), reconnecting
+//! The client side has one call path, [`roundtrip`], whose [`Policy`]
+//! picks a one-shot connection, this thread's pooled one, or the pooled
+//! one with a bounded retry. The pool keeps one open [`Conn`] per
+//! `(thread, authority)`, reconnecting
 //! transparently when a pooled socket has gone stale — the server may
 //! have closed it for idleness or budget exhaustion between our
 //! requests, which is an expected race, not an error. Only a *reused*
@@ -525,22 +527,11 @@ pub fn reason(status: u16) -> &'static str {
 /// the response announces `Connection: close` and the caller is expected
 /// to drop the socket; otherwise the connection stays open for the next
 /// request (HTTP/1.1 default — no header needed, but an explicit
-/// `keep-alive` is written so 1.0-era intermediaries behave).
-pub fn write_response_conn(
-    stream: &TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    close: bool,
-) -> Result<(), HttpError> {
-    write_response_headers(stream, status, content_type, body, close, &[])
-}
-
-/// [`write_response_conn`] with additional response headers — the shape
-/// the server uses for statuses that carry mandatory metadata (401's
-/// `WWW-Authenticate: Bearer`). Header names and values are written
-/// verbatim; callers pass only fixed ASCII strings.
-pub fn write_response_headers(
+/// `keep-alive` is written so 1.0-era intermediaries behave). `extra`
+/// headers carry mandatory metadata (401's `WWW-Authenticate: Bearer`);
+/// names and values are written verbatim, so callers pass only fixed
+/// ASCII strings.
+pub fn write_response(
     stream: &TcpStream,
     status: u16,
     content_type: &str,
@@ -565,17 +556,6 @@ pub fn write_response_headers(
     stream.write_all(head.as_bytes()).map_err(io_error)?;
     stream.write_all(body.as_bytes()).map_err(io_error)?;
     stream.flush().map_err(io_error)
-}
-
-/// [`write_response_conn`] with `Connection: close` — the one-shot shape
-/// kept for single-response stubs (tests) and terminal error replies.
-pub fn write_response(
-    stream: &TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> Result<(), HttpError> {
-    write_response_conn(stream, status, content_type, body, true)
 }
 
 /// A parsed response on the client side.
@@ -639,30 +619,6 @@ pub fn read_response(stream: &TcpStream, buf: &mut RecvBuf) -> Result<Response, 
         body,
         close,
     })
-}
-
-fn write_request(
-    stream: &TcpStream,
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
-    close: bool,
-    token: Option<&str>,
-) -> Result<(), HttpError> {
-    let mut w = stream;
-    let connection = if close { "Connection: close\r\n" } else { "" };
-    let auth = match token {
-        Some(t) => format!("Authorization: Bearer {t}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "{method} {path_and_query} HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {}\r\n{auth}{connection}\r\n",
-        body.len()
-    );
-    w.write_all(head.as_bytes()).map_err(io_error)?;
-    w.write_all(body.as_bytes()).map_err(io_error)?;
-    w.flush().map_err(io_error)
 }
 
 /// Parse a base URL of the form `http://host:port` into its authority.
@@ -737,27 +693,31 @@ impl Conn {
         path_and_query: &str,
         body: &str,
     ) -> Result<Response, HttpError> {
-        self.call_auth(method, path_and_query, body, None)
+        self.exchange(method, path_and_query, body, None, false)
     }
 
-    /// [`Conn::call`] with a bearer token attached as
-    /// `Authorization: Bearer <token>`.
-    pub fn call_auth(
+    fn exchange(
         &mut self,
         method: &str,
         path_and_query: &str,
         body: &str,
         token: Option<&str>,
+        close: bool,
     ) -> Result<Response, HttpError> {
-        write_request(
-            &self.stream,
-            &self.authority,
-            method,
-            path_and_query,
-            body,
-            false,
-            token,
-        )?;
+        let connection = if close { "Connection: close\r\n" } else { "" };
+        let auth = match token {
+            Some(t) => format!("Authorization: Bearer {t}\r\n"),
+            None => String::new(),
+        };
+        let head = format!(
+            "{method} {path_and_query} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n{auth}{connection}\r\n",
+            self.authority,
+            body.len()
+        );
+        let mut w = &self.stream;
+        w.write_all(head.as_bytes()).map_err(io_error)?;
+        w.write_all(body.as_bytes()).map_err(io_error)?;
+        w.flush().map_err(io_error)?;
         let response = read_response(&self.stream, &mut self.buf)?;
         self.requests += 1;
         Ok(response)
@@ -777,16 +737,6 @@ thread_local! {
     static POOL: RefCell<HashMap<String, Conn>> = RefCell::new(HashMap::new());
 }
 
-fn pool_take(authority: &str) -> Option<Conn> {
-    POOL.with(|p| p.borrow_mut().remove(authority))
-}
-
-fn pool_put(conn: Conn) {
-    POOL.with(|p| {
-        p.borrow_mut().insert(conn.authority.clone(), conn);
-    });
-}
-
 /// Drop this thread's pooled connection to `authority`, if any. Tests
 /// use this to force a fresh connection; production code never needs it.
 pub fn pool_evict(authority: &str) {
@@ -795,124 +745,81 @@ pub fn pool_evict(authority: &str) {
     });
 }
 
-/// Perform one request over this thread's pooled connection to
-/// `authority`, connecting (and pooling) on first use.
-///
-/// A failure on a *reused* socket is retried once on a fresh connection
-/// without surfacing: the server closing a pooled connection between our
-/// requests (idle timeout, request budget) is an expected race. A
-/// failure on a fresh connection propagates — that is a real error.
-/// Note the retry resends the request, so a reused socket that died
-/// after the server acted but before we read the response can execute
-/// the request twice; every endpoint behind this client tolerates that
-/// (cache puts are idempotent, an orphaned work lease is requeued by the
-/// dispatcher — see `work_client.rs`).
-pub fn pooled_roundtrip(
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
-) -> Result<Response, HttpError> {
-    pooled_roundtrip_auth(authority, method, path_and_query, body, None)
-}
-
-/// [`pooled_roundtrip`] with a bearer token attached to the request.
-pub fn pooled_roundtrip_auth(
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
-    token: Option<&str>,
-) -> Result<Response, HttpError> {
-    if let Some(mut conn) = pool_take(authority) {
-        if let Ok(response) = conn.call_auth(method, path_and_query, body, token) {
-            if !response.close {
-                pool_put(conn);
-            }
-            return Ok(response);
-        }
-        // Stale pooled socket; fall through to a fresh connection.
-    }
-    let mut conn = Conn::connect(authority)?;
-    let response = conn.call_auth(method, path_and_query, body, token)?;
-    if !response.close {
-        pool_put(conn);
-    }
-    Ok(response)
-}
-
-/// Delay between the two attempts of [`roundtrip_retry`].
+/// Delay between the two attempts of [`Policy::PooledRetry`].
 pub const RETRY_DELAY: Duration = Duration::from_millis(50);
 
-/// [`pooled_roundtrip`] with one bounded retry: any failure of the first
-/// attempt — refused/reset connection, timeout, or a response cut off
-/// mid-frame — sleeps [`RETRY_DELAY`] and tries once more before the
-/// error stands. One retry rides out the transient blips of a busy or
-/// restarting server; keeping it *bounded* keeps a hard failure loud
-/// (an unreachable cache degrades to cold-cache misses, an unreachable
-/// dispatcher errors) instead of becoming an unbounded hang.
-pub fn roundtrip_retry(
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
-) -> Result<Response, HttpError> {
-    roundtrip_retry_auth(authority, method, path_and_query, body, None)
+/// How [`roundtrip`] uses connections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// A fresh connection announcing `Connection: close` — one-shot
+    /// calls (the CLI's seeding PUT, tests) and the bench harness's
+    /// close-per-request baseline.
+    Close,
+    /// This thread's pooled keep-alive connection to the authority,
+    /// connecting (and pooling) on first use. A failure on a *reused*
+    /// socket is retried once on a fresh connection without surfacing:
+    /// the server closing a pooled connection between our requests
+    /// (idle timeout, request budget) is an expected race. A failure on
+    /// a fresh connection propagates — that is a real error.
+    Pooled,
+    /// [`Policy::Pooled`] with one bounded retry: any failure of the
+    /// first attempt — refused/reset connection, timeout, or a response
+    /// cut off mid-frame — sleeps [`RETRY_DELAY`] and tries once more
+    /// before the error stands. One retry rides out the transient blips
+    /// of a busy or restarting server; keeping it *bounded* keeps a hard
+    /// failure loud (an unreachable cache degrades to cold-cache misses,
+    /// an unreachable dispatcher errors) instead of becoming an
+    /// unbounded hang. `HttpCache` and `RemoteLease` ride this policy.
+    PooledRetry,
 }
 
-/// [`roundtrip_retry`] with a bearer token attached to the request.
-pub fn roundtrip_retry_auth(
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
-    token: Option<&str>,
-) -> Result<Response, HttpError> {
-    spp_par::retry(2, RETRY_DELAY, |_| {
-        pooled_roundtrip_auth(authority, method, path_and_query, body, token)
-    })
-}
-
-/// Perform one blocking request against `authority` (a `host:port`
-/// string) on its own connection, `Connection: close`. The pooled path
-/// ([`pooled_roundtrip`]) is the production client; this one-shot shape
-/// remains for tests and for deliberately unpooled probes (e.g. the
-/// bench harness's close-per-request mode).
+/// Perform one request against `authority` (a `host:port` string) — the
+/// client's one call path. `token` is sent as `Authorization: Bearer
+/// <token>`.
+///
+/// The pooled policies resend a request whose reused socket died, so a
+/// socket that died after the server acted but before we read the
+/// response can execute the request twice; every endpoint behind the
+/// pooled clients tolerates that (cache puts are idempotent, an
+/// orphaned work lease is requeued by the dispatcher — see
+/// `work_client.rs`).
 pub fn roundtrip(
     authority: &str,
     method: &str,
     path_and_query: &str,
     body: &str,
-) -> Result<Response, HttpError> {
-    roundtrip_auth(authority, method, path_and_query, body, None)
-}
-
-/// [`roundtrip`] with a bearer token attached to the request.
-pub fn roundtrip_auth(
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
     token: Option<&str>,
+    policy: Policy,
 ) -> Result<Response, HttpError> {
-    let stream = TcpStream::connect(authority).map_err(io_error)?;
-    stream
-        .set_read_timeout(Some(IO_TIMEOUT))
-        .map_err(io_error)?;
-    stream
-        .set_write_timeout(Some(IO_TIMEOUT))
-        .map_err(io_error)?;
-    write_request(
-        &stream,
-        authority,
-        method,
-        path_and_query,
-        body,
-        true,
-        token,
-    )?;
-    let mut buf = RecvBuf::new();
-    read_response(&stream, &mut buf)
+    let pooled = || {
+        // A stale pooled socket (closed by the server between our
+        // requests) falls through to a fresh connection.
+        let reused = POOL
+            .with(|p| p.borrow_mut().remove(authority))
+            .and_then(|mut conn| {
+                let response = conn.exchange(method, path_and_query, body, token, false);
+                response.ok().map(|r| (conn, r))
+            });
+        let (conn, response) = match reused {
+            Some(reused) => reused,
+            None => {
+                let mut conn = Conn::connect(authority)?;
+                let response = conn.exchange(method, path_and_query, body, token, false)?;
+                (conn, response)
+            }
+        };
+        if !response.close {
+            POOL.with(|p| p.borrow_mut().insert(authority.to_string(), conn));
+        }
+        Ok(response)
+    };
+    match policy {
+        Policy::Close => {
+            Conn::connect(authority)?.exchange(method, path_and_query, body, token, true)
+        }
+        Policy::Pooled => pooled(),
+        Policy::PooledRetry => spp_par::retry(2, RETRY_DELAY, |_| pooled()),
+    }
 }
 
 #[cfg(test)]
@@ -1060,7 +967,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            write_response_headers(
+            write_response(
                 &stream,
                 401,
                 "application/json",
@@ -1088,15 +995,16 @@ mod tests {
             stream.set_read_timeout(Some(IO_TIMEOUT)).unwrap();
             let mut buf = RecvBuf::new();
             let request = read_request(&stream, &mut buf, 1 << 20, None, false).unwrap();
-            write_response(&stream, 200, "text/plain", "ok").unwrap();
+            write_response(&stream, 200, "text/plain", "ok", true, &[]).unwrap();
             request.authorization
         });
-        let response = roundtrip_auth(
+        let response = roundtrip(
             &addr.to_string(),
             "PUT",
             "/cache/k",
             "body",
             Some("tok-123"),
+            Policy::Close,
         )
         .unwrap();
         assert_eq!(response.status, 200);

@@ -86,7 +86,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spp_core::hist::{AtomicHist, Hist};
-use spp_core::json;
+use spp_core::json::Writer;
 use spp_core::InstanceDigest;
 use spp_engine::batch::CellOutcome;
 use spp_engine::cache::{entry_parse, write_entry_atomic, DirStats};
@@ -802,18 +802,13 @@ const SOLVE_FORMAT: &str = "spp-solve-report";
 /// An `spp-serve-error` document; `param` names the offending `/solve`
 /// query parameter when there is one.
 fn error_body(status: u16, param: Option<&str>, msg: &str) -> String {
-    match param {
-        None => format!(
-            "{{\n  \"format\": \"{ERROR_FORMAT}\",\n  \"status\": {status},\n  \"error\": \"{}\"\n}}\n",
-            json::escape(msg)
-        ),
-        Some(param) => format!(
-            "{{\n  \"format\": \"{ERROR_FORMAT}\",\n  \"status\": {status},\n  \
-             \"param\": \"{}\",\n  \"error\": \"{}\"\n}}\n",
-            json::escape(param),
-            json::escape(msg)
-        ),
+    let mut w = Writer::unversioned(ERROR_FORMAT);
+    w.int("status", status.into());
+    if let Some(param) = param {
+        w.str("param", param);
     }
+    w.str("error", msg);
+    w.finish()
 }
 
 /// The outcome every handler reduces to.
@@ -898,7 +893,14 @@ fn protocol_error_close(stream: &TcpStream, e: HttpError, state: &State) {
         HttpError::Bad(msg) => Reply::error(400, &msg),
         HttpError::Io(_) | HttpError::Closed | HttpError::Idle => unreachable!(),
     };
-    let _ = http::write_response_conn(stream, reply.status, reply.content_type, &reply.body, true);
+    let _ = http::write_response(
+        stream,
+        reply.status,
+        reply.content_type,
+        &reply.body,
+        true,
+        &[],
+    );
 }
 
 /// Route one parsed request and write its response. `served` is this
@@ -939,7 +941,7 @@ fn respond(stream: &TcpStream, request: &Request, served: u64, state: &State) ->
     } else {
         &[]
     };
-    let written = http::write_response_headers(
+    let written = http::write_response(
         stream,
         reply.status,
         reply.content_type,
@@ -1228,10 +1230,11 @@ fn work_complete(body: &str, state: &State) -> Reply {
         return Reply::error(409, &format!("unknown lease id {lease_id}"));
     }
     match queue.complete(lease_id, start, &cells) {
-        Ok(()) => Reply::json(
-            200,
-            "{\n  \"format\": \"spp-work-accepted\",\n  \"accepted\": true\n}\n".into(),
-        ),
+        Ok(()) => {
+            let mut w = Writer::unversioned("spp-work-accepted");
+            w.bool("accepted", true);
+            Reply::json(200, w.finish())
+        }
         Err(e) => Reply::error(400, &e.to_string()),
     }
 }
@@ -1598,27 +1601,20 @@ fn solve_report_body(
     digest: InstanceDigest,
     cell: &CellOutcome,
 ) -> String {
-    let mut body = String::new();
-    {
-        use std::fmt::Write as _;
-        body.push_str("{\n");
-        let _ = writeln!(body, "  \"format\": \"{SOLVE_FORMAT}\",");
-        let _ = writeln!(body, "  \"version\": 1,");
-        let _ = writeln!(body, "  \"solver\": \"{}\",", json::escape(solver_name));
-        let _ = writeln!(body, "  \"instance\": \"{digest}\",");
-        let _ = writeln!(body, "  \"config\": \"{}\",", json::escape(config_sig));
-        let _ = writeln!(body, "  \"status\": \"{}\",", cell.status.as_str());
-        let _ = writeln!(body, "  \"makespan\": {:.17e},", cell.makespan);
-        let _ = writeln!(body, "  \"lb\": {:.17e},", cell.combined_lb);
-        // Both a fresh improved solve and its later cache hits carry the
-        // seed makespan, so this line is warm/cold byte-stable too.
-        if let Some(seed) = cell.improved_from {
-            let _ = writeln!(body, "  \"improved_from\": {seed:.17e},");
-        }
-        let _ = writeln!(body, "  \"cached\": {}", cell.from_cache);
-        body.push_str("}\n");
+    let mut w = Writer::new(SOLVE_FORMAT, 1);
+    w.str("solver", solver_name)
+        .str("instance", &digest.to_string())
+        .str("config", config_sig)
+        .str("status", cell.status.as_str())
+        .num("makespan", cell.makespan)
+        .num("lb", cell.combined_lb);
+    // Both a fresh improved solve and its later cache hits carry the
+    // seed makespan, so this field is warm/cold byte-stable too.
+    if let Some(seed) = cell.improved_from {
+        w.num("improved_from", seed);
     }
-    body
+    w.bool("cached", cell.from_cache);
+    w.finish()
 }
 
 /// Everything `GET /stats` reports, gathered from the live state so
@@ -1664,129 +1660,92 @@ fn stats_reply(state: &State) -> Reply {
 /// The `spp-serve-stats` document.
 fn stats_body(v: &StatsView) -> String {
     let c = &v.counters;
-    let mut body = String::new();
-    {
-        use std::fmt::Write as _;
-        body.push_str("{\n");
-        let _ = writeln!(body, "  \"format\": \"{STATS_FORMAT}\",");
-        let _ = writeln!(body, "  \"version\": 1,");
-        let _ = writeln!(body, "  \"uptime_secs\": {},", v.uptime_secs);
-        let _ = writeln!(body, "  \"requests\": {},", c.requests);
-        let _ = writeln!(body, "  \"cache_get_hits\": {},", c.cache_get_hits);
-        let _ = writeln!(body, "  \"cache_get_misses\": {},", c.cache_get_misses);
-        let _ = writeln!(body, "  \"cache_puts\": {},", c.cache_puts);
-        let _ = writeln!(body, "  \"solves\": {},", c.solves);
-        let _ = writeln!(body, "  \"solve_cache_hits\": {},", c.solve_cache_hits);
-        // `rounds_per_stream` is derived (iterations over streams) so
-        // operators can read search throughput without dividing.
-        let rounds_per_stream = if c.improve_streams > 0 {
-            c.improve_iterations as f64 / c.improve_streams as f64
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            body,
-            "  \"improve\": {{\"iterations\": {}, \"streams\": {}, \
-             \"rounds_per_stream\": {:.17e}, \"improved_cells\": {}, \
-             \"envelope_prunes\": {}, \"total_gain\": {:.17e}}},",
-            c.improve_iterations,
-            c.improve_streams,
-            rounds_per_stream,
-            c.improved_cells,
-            c.improve_envelope_prunes,
-            c.improve_total_gain
-        );
-        let _ = writeln!(body, "  \"errors\": {},", c.errors);
-        let _ = writeln!(
-            body,
-            "  \"connections_accepted\": {},",
-            c.connections_accepted
-        );
-        let _ = writeln!(body, "  \"keepalive_reuses\": {},", c.keepalive_reuses);
-        let _ = writeln!(body, "  \"accept_failures\": {},", c.accept_failures);
-        let _ = writeln!(
-            body,
-            "  \"max_requests_per_connection\": {},",
-            c.max_requests_per_connection
-        );
-        let _ = writeln!(body, "  \"io_mode\": \"{}\",", v.io_mode);
-        if let Some(ev) = &v.event {
-            let _ = writeln!(
-                body,
-                "  \"event\": {{\"parked_connections\": {}, \"wakeups\": {}, \
-                 \"readiness_batches\": {}, \"eagain_retries\": {}, \"timer_expiries\": {}}},",
-                ev.parked_connections,
-                ev.wakeups,
-                ev.readiness_batches,
-                ev.eagain_retries,
-                ev.timer_expiries
-            );
-        }
-        let _ = writeln!(
-            body,
-            "  \"mean_requests_per_connection\": {:.2},",
-            if c.connections_accepted == 0 {
-                0.0
-            } else {
-                c.requests as f64 / c.connections_accepted as f64
-            }
-        );
-        let lat = &v.latency;
-        let us = |q: f64| lat.quantile(q) / 1000.0;
-        let _ = writeln!(
-            body,
-            "  \"latency_us\": {{\"count\": {}, \"p50\": {:.1}, \"p95\": {:.1}, \
-             \"p99\": {:.1}, \"p999\": {:.1}}},",
-            lat.count(),
-            us(0.50),
-            us(0.95),
-            us(0.99),
-            us(0.999)
-        );
-        let ep = c.endpoints;
-        let _ = writeln!(
-            body,
-            "  \"endpoints\": {{\"cache_get\": {}, \"cache_put\": {}, \"solve\": {}, \
-             \"stats\": {}, \"work_lease\": {}, \"work_complete\": {}, \"work_status\": {}, \
-             \"work_report\": {}, \"other\": {}}},",
-            ep.cache_get,
-            ep.cache_put,
-            ep.solve,
-            ep.stats,
-            ep.work_lease,
-            ep.work_complete,
-            ep.work_status,
-            ep.work_report,
-            ep.other
-        );
-        if let Some(s) = &v.work {
-            let _ = writeln!(body, "  \"work_jobs\": {},", s.jobs);
-            let _ = writeln!(body, "  \"work_chunks\": {},", s.chunks);
-            let _ = writeln!(body, "  \"work_completed_chunks\": {},", s.completed_chunks);
-            let _ = writeln!(body, "  \"work_leases\": {},", s.leases);
-            let _ = writeln!(body, "  \"work_requeued\": {},", s.requeued);
-            let _ = writeln!(body, "  \"work_done\": {},", s.done);
-        }
-        match &v.cache {
-            Some((stats, dir)) => {
-                let _ = writeln!(
-                    body,
-                    "  \"solve_cache\": \"{}\",",
-                    json::escape(&stats.to_string())
-                );
-                let _ = writeln!(body, "  \"entries\": {},", dir.entries);
-                let _ = writeln!(body, "  \"corrupt\": {},", dir.corrupt);
-                let _ = writeln!(body, "  \"bytes\": {},", dir.bytes);
-                let _ = writeln!(body, "  \"instances\": {},", dir.instances);
-                let _ = writeln!(body, "  \"configs\": {}", dir.configs);
-            }
-            None => {
-                let _ = writeln!(body, "  \"cache_role\": false");
-            }
-        }
-        body.push_str("}\n");
+    let mut w = Writer::new(STATS_FORMAT, 1);
+    w.int("uptime_secs", v.uptime_secs)
+        .int("requests", c.requests)
+        .int("cache_get_hits", c.cache_get_hits)
+        .int("cache_get_misses", c.cache_get_misses)
+        .int("cache_puts", c.cache_puts)
+        .int("solves", c.solves)
+        .int("solve_cache_hits", c.solve_cache_hits);
+    // `rounds_per_stream` is derived (iterations over streams) so
+    // operators can read search throughput without dividing.
+    let rounds_per_stream = if c.improve_streams > 0 {
+        c.improve_iterations as f64 / c.improve_streams as f64
+    } else {
+        0.0
+    };
+    w.obj("improve")
+        .int("iterations", c.improve_iterations)
+        .int("streams", c.improve_streams)
+        .num("rounds_per_stream", rounds_per_stream)
+        .int("improved_cells", c.improved_cells)
+        .int("envelope_prunes", c.improve_envelope_prunes)
+        .num("total_gain", c.improve_total_gain)
+        .end();
+    w.int("errors", c.errors)
+        .int("connections_accepted", c.connections_accepted)
+        .int("keepalive_reuses", c.keepalive_reuses)
+        .int("accept_failures", c.accept_failures)
+        .int("max_requests_per_connection", c.max_requests_per_connection)
+        .str("io_mode", v.io_mode);
+    if let Some(ev) = &v.event {
+        w.obj("event")
+            .int("parked_connections", ev.parked_connections)
+            .int("wakeups", ev.wakeups)
+            .int("readiness_batches", ev.readiness_batches)
+            .int("eagain_retries", ev.eagain_retries)
+            .int("timer_expiries", ev.timer_expiries)
+            .end();
     }
-    body
+    let per_connection = if c.connections_accepted == 0 {
+        0.0
+    } else {
+        c.requests as f64 / c.connections_accepted as f64
+    };
+    w.fixed("mean_requests_per_connection", per_connection, 2);
+    let us = |q: f64| v.latency.quantile(q) / 1000.0;
+    w.obj("latency_us")
+        .int("count", v.latency.count())
+        .fixed("p50", us(0.50), 1)
+        .fixed("p95", us(0.95), 1)
+        .fixed("p99", us(0.99), 1)
+        .fixed("p999", us(0.999), 1)
+        .end();
+    let ep = &c.endpoints;
+    w.obj("endpoints")
+        .int("cache_get", ep.cache_get)
+        .int("cache_put", ep.cache_put)
+        .int("solve", ep.solve)
+        .int("stats", ep.stats)
+        .int("work_lease", ep.work_lease)
+        .int("work_complete", ep.work_complete)
+        .int("work_status", ep.work_status)
+        .int("work_report", ep.work_report)
+        .int("other", ep.other)
+        .end();
+    if let Some(s) = &v.work {
+        w.int("work_jobs", s.jobs as u64)
+            .int("work_chunks", s.chunks as u64)
+            .int("work_completed_chunks", s.completed_chunks as u64)
+            .int("work_leases", s.leases)
+            .int("work_requeued", s.requeued)
+            .bool("work_done", s.done);
+    }
+    match &v.cache {
+        Some((stats, dir)) => {
+            w.str("solve_cache", &stats.to_string())
+                .int("entries", dir.entries as u64)
+                .int("corrupt", dir.corrupt as u64)
+                .int("bytes", dir.bytes)
+                .int("instances", dir.instances as u64)
+                .int("configs", dir.configs as u64);
+        }
+        None => {
+            w.bool("cache_role", false);
+        }
+    }
+    w.finish()
 }
 
 #[cfg(test)]

@@ -12,12 +12,12 @@
 //! Trust and failure model:
 //!
 //! * every dispatcher call rides this thread's **pooled keep-alive
-//!   connection** ([`http::pooled_roundtrip`]) — a worker's whole
+//!   connection** ([`http::Policy::Pooled`]) — a worker's whole
 //!   lease/execute/complete loop is one TCP conversation, and a pooled
 //!   socket the dispatcher closed between calls (idle timeout, request
 //!   budget) is replaced transparently;
 //! * every dispatcher call gets **one bounded retry**
-//!   ([`http::roundtrip_retry`]) before its error stands — a dispatcher
+//!   ([`http::Policy::PooledRetry`]) before its error stands — a dispatcher
 //!   mid-GC or briefly saturated does not kill a worker;
 //! * a persistent transport failure is a loud [`WorkError`] — a worker
 //!   that cannot reach its dispatcher must say so and exit nonzero, not
@@ -83,11 +83,18 @@ impl RemoteLease {
     }
 
     fn call(&self, method: &str, path: &str, body: &str) -> Result<http::Response, WorkError> {
-        http::roundtrip_retry_auth(&self.authority, method, path, body, self.token.as_deref())
-            .map_err(|e| WorkError::Protocol {
-                context: format!("{} {path}", self.url),
-                err: e.to_string(),
-            })
+        http::roundtrip(
+            &self.authority,
+            method,
+            path,
+            body,
+            self.token.as_deref(),
+            http::Policy::PooledRetry,
+        )
+        .map_err(|e| WorkError::Protocol {
+            context: format!("{} {path}", self.url),
+            err: e.to_string(),
+        })
     }
 
     fn expect_200(&self, path: &str, response: http::Response) -> Result<String, WorkError> {

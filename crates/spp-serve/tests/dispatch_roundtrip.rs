@@ -10,7 +10,7 @@ use spp_engine::work::{execute_lease, pull_work};
 use spp_engine::{
     run_sharded, LeaseGrant, Registry, ShardPlan, SolveConfig, Solver, WorkQueue, WorkSource,
 };
-use spp_serve::http::roundtrip;
+use spp_serve::http::{roundtrip, Policy};
 use spp_serve::{RemoteLease, ServeConfig, Server};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -80,7 +80,7 @@ fn remote_pullers_reproduce_the_local_run_byte_for_byte() {
 
     // Before anyone completes anything the report poll is a clean 409.
     let authority = server.authority();
-    let r = roundtrip(&authority, "GET", "/work/report", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/work/report", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 409, "{}", r.body);
 
     // Three concurrent pullers drain the queue.
@@ -105,7 +105,7 @@ fn remote_pullers_reproduce_the_local_run_byte_for_byte() {
 
     // /stats shows the dispatcher role: uptime, per-endpoint counters
     // with lease/complete included, queue progress; no cache role.
-    let stats = roundtrip(&authority, "GET", "/stats", "").unwrap();
+    let stats = roundtrip(&authority, "GET", "/stats", "", None, Policy::Close).unwrap();
     assert_eq!(stats.status, 200);
     for needle in [
         "\"uptime_secs\":",
@@ -122,7 +122,7 @@ fn remote_pullers_reproduce_the_local_run_byte_for_byte() {
         );
     }
     // And the cache endpoints answer a clean 404 on this role-less server.
-    let r = roundtrip(&authority, "GET", "/cache/abc", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/cache/abc", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 404);
     assert!(r.body.contains("no cache role"), "{}", r.body);
 
@@ -177,9 +177,25 @@ fn expired_leases_requeue_and_duplicate_completions_are_acknowledged() {
     // A lease id the dispatcher never granted is a 409, distinct from a
     // malformed body's 400.
     let bogus = spp_engine::work::complete_to_json(999, 0, &[]);
-    let r = roundtrip(&server.authority(), "POST", "/work/complete", &bogus).unwrap();
+    let r = roundtrip(
+        &server.authority(),
+        "POST",
+        "/work/complete",
+        &bogus,
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 409, "{}", r.body);
-    let r = roundtrip(&server.authority(), "POST", "/work/complete", "junk").unwrap();
+    let r = roundtrip(
+        &server.authority(),
+        "POST",
+        "/work/complete",
+        "junk",
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 400, "{}", r.body);
 
     server.shutdown();

@@ -9,7 +9,7 @@ use spp_engine::{
     execute_cells, BatchJob, CellStatus, DiskCache, Registry, ShardPlan, SolveCache, SolveConfig,
     SolveRequest, Solver,
 };
-use spp_serve::http::roundtrip;
+use spp_serve::http::{roundtrip, Policy};
 use spp_serve::{HttpCache, ServeConfig, Server};
 use std::path::PathBuf;
 
@@ -63,14 +63,38 @@ fn cache_endpoints_roundtrip_and_validate() {
     let body = entry_to_json(&k, &cell(4.5));
 
     // Missing entry: 404 with a structured error body.
-    let r = roundtrip(&authority, "GET", &format!("/cache/{stem}"), "").unwrap();
+    let r = roundtrip(
+        &authority,
+        "GET",
+        &format!("/cache/{stem}"),
+        "",
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 404);
     assert!(r.body.contains("spp-serve-error"), "{}", r.body);
 
     // PUT publishes; GET returns the exact bytes.
-    let r = roundtrip(&authority, "PUT", &format!("/cache/{stem}"), &body).unwrap();
+    let r = roundtrip(
+        &authority,
+        "PUT",
+        &format!("/cache/{stem}"),
+        &body,
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 204, "{}", r.body);
-    let r = roundtrip(&authority, "GET", &format!("/cache/{stem}"), "").unwrap();
+    let r = roundtrip(
+        &authority,
+        "GET",
+        &format!("/cache/{stem}"),
+        "",
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 200);
     assert_eq!(r.body, body);
     // And the entry landed as a real DiskCache-servable file.
@@ -85,15 +109,33 @@ fn cache_endpoints_roundtrip_and_validate() {
         "PUT",
         &format!("/cache/{stem}"),
         &entry_to_json(&other, &cell(1.0)),
+        None,
+        Policy::Close,
     )
     .unwrap();
     assert_eq!(r.status, 400);
     // Garbage bodies are refused too.
-    let r = roundtrip(&authority, "PUT", &format!("/cache/{stem}"), "junk").unwrap();
+    let r = roundtrip(
+        &authority,
+        "PUT",
+        &format!("/cache/{stem}"),
+        "junk",
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 400);
     // Path traversal and non-key names never reach the filesystem.
     for bad in ["..", "a.json", "x/y", "UPPER", ""] {
-        let r = roundtrip(&authority, "GET", &format!("/cache/{bad}"), "").unwrap();
+        let r = roundtrip(
+            &authority,
+            "GET",
+            &format!("/cache/{bad}"),
+            "",
+            None,
+            Policy::Close,
+        )
+        .unwrap();
         assert!(
             r.status == 400 || r.status == 404,
             "{bad:?} gave {}",
@@ -102,13 +144,21 @@ fn cache_endpoints_roundtrip_and_validate() {
     }
     // Damaged on-disk entries are 404, never served.
     std::fs::write(dir.join(k.file_name()), "garbage").unwrap();
-    let r = roundtrip(&authority, "GET", &format!("/cache/{stem}"), "").unwrap();
+    let r = roundtrip(
+        &authority,
+        "GET",
+        &format!("/cache/{stem}"),
+        "",
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 404);
 
     // Unknown endpoints and bad methods are named.
-    let r = roundtrip(&authority, "GET", "/nope", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/nope", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 404);
-    let r = roundtrip(&authority, "PATCH", "/cache/abc", "").unwrap();
+    let r = roundtrip(&authority, "PATCH", "/cache/abc", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 405);
 
     server.shutdown();
@@ -129,13 +179,23 @@ fn readonly_server_refuses_puts_but_serves_gets() {
     let stem_owned = key("a").file_name();
     let stem = stem_owned.strip_suffix(".json").unwrap();
 
-    let r = roundtrip(&authority, "GET", &format!("/cache/{stem}"), "").unwrap();
+    let r = roundtrip(
+        &authority,
+        "GET",
+        &format!("/cache/{stem}"),
+        "",
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 200);
     let r = roundtrip(
         &authority,
         "PUT",
         &format!("/cache/{stem}"),
         &entry_to_json(&key("a"), &cell(2.0)),
+        None,
+        Policy::Close,
     )
     .unwrap();
     assert_eq!(r.status, 403);
@@ -160,13 +220,29 @@ fn solve_endpoint_solves_then_serves_from_cache() {
     let prec = spp_dag::PrecInstance::unconstrained(inst);
     let body = spp_gen::fileio::to_json(&prec);
 
-    let cold = roundtrip(&authority, "POST", "/solve?solver=nfdh", &body).unwrap();
+    let cold = roundtrip(
+        &authority,
+        "POST",
+        "/solve?solver=nfdh",
+        &body,
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert!(cold.body.contains("\"format\": \"spp-solve-report\""));
     assert!(cold.body.contains("\"cached\": false"));
     assert!(cold.body.contains("\"status\": \"solved\""));
 
-    let warm = roundtrip(&authority, "POST", "/solve?solver=nfdh", &body).unwrap();
+    let warm = roundtrip(
+        &authority,
+        "POST",
+        "/solve?solver=nfdh",
+        &body,
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(warm.status, 200);
     assert!(warm.body.contains("\"cached\": true"));
     // Identical apart from the informational cached flag.
@@ -183,7 +259,15 @@ fn solve_endpoint_solves_then_serves_from_cache() {
     assert!(cold.body.contains(&format!("{:.17e}", report.makespan)));
 
     // Config params key separate cells; unknown/malformed ones are named.
-    let tighter = roundtrip(&authority, "POST", "/solve?solver=nfdh&epsilon=0.25", &body).unwrap();
+    let tighter = roundtrip(
+        &authority,
+        "POST",
+        "/solve?solver=nfdh&epsilon=0.25",
+        &body,
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(tighter.status, 200);
     assert!(tighter.body.contains("\"cached\": false"));
     for (bad, needle) in [
@@ -198,17 +282,25 @@ fn solve_endpoint_solves_then_serves_from_cache() {
         ("/solve?solver=aptas&k=0", "k"),
         ("/solve?solver=online-shelf&shelf_r=1.5", "shelf_r"),
     ] {
-        let r = roundtrip(&authority, "POST", bad, &body).unwrap();
+        let r = roundtrip(&authority, "POST", bad, &body, None, Policy::Close).unwrap();
         assert_eq!(r.status, 400, "{bad}");
         assert!(r.body.contains(needle), "{bad}: {}", r.body);
     }
     // A malformed instance body names field and line.
-    let r = roundtrip(&authority, "POST", "/solve?solver=nfdh", "{\"format\": 3}").unwrap();
+    let r = roundtrip(
+        &authority,
+        "POST",
+        "/solve?solver=nfdh",
+        "{\"format\": 3}",
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 400);
     assert!(r.body.contains("format"), "{}", r.body);
 
     // /stats reflects it all.
-    let r = roundtrip(&authority, "GET", "/stats", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/stats", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 200);
     assert!(r.body.contains("\"format\": \"spp-serve-stats\""));
     assert!(r.body.contains("\"solves\": 2"), "{}", r.body);
@@ -244,7 +336,7 @@ fn budgeted_solve_improves_and_rejects_bad_budget_params() {
     let body = spp_gen::fileio::to_json(&prec);
 
     let path = "/solve?solver=nfdh&budget_ms=2000";
-    let cold = roundtrip(&authority, "POST", path, &body).unwrap();
+    let cold = roundtrip(&authority, "POST", path, &body, None, Policy::Close).unwrap();
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert!(cold.body.contains("\"cached\": false"));
     assert!(
@@ -260,7 +352,7 @@ fn budgeted_solve_improves_and_rejects_bad_budget_params() {
 
     // Warm: the improved entry is served back, byte-identical apart from
     // the informational cached flag — improved_from included.
-    let warm = roundtrip(&authority, "POST", path, &body).unwrap();
+    let warm = roundtrip(&authority, "POST", path, &body, None, Policy::Close).unwrap();
     assert_eq!(warm.status, 200);
     assert!(warm.body.contains("\"cached\": true"));
     assert_eq!(
@@ -269,7 +361,7 @@ fn budgeted_solve_improves_and_rejects_bad_budget_params() {
     );
 
     // /stats carries the improvement counters.
-    let r = roundtrip(&authority, "GET", "/stats", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/stats", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 200);
     assert!(r.body.contains("\"improved_cells\": 1"), "{}", r.body);
     let counters = server.counters();
@@ -295,7 +387,7 @@ fn budgeted_solve_improves_and_rejects_bad_budget_params() {
             "improve_envelope",
         ), // not a bool
     ] {
-        let r = roundtrip(&authority, "POST", bad, &body).unwrap();
+        let r = roundtrip(&authority, "POST", bad, &body, None, Policy::Close).unwrap();
         assert_eq!(r.status, 400, "{bad}: {}", r.body);
         assert!(
             r.body.contains(&format!("\"param\": \"{param}\"")),
@@ -322,7 +414,7 @@ fn portfolio_solve_reports_streams_in_stats() {
     let body = spp_gen::fileio::to_json(&prec);
 
     let path = "/solve?solver=nfdh&budget_ms=2000&improve_streams=4";
-    let cold = roundtrip(&authority, "POST", path, &body).unwrap();
+    let cold = roundtrip(&authority, "POST", path, &body, None, Policy::Close).unwrap();
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert!(cold.body.contains("\"cached\": false"));
     assert!(
@@ -332,14 +424,14 @@ fn portfolio_solve_reports_streams_in_stats() {
     );
 
     // Same width again: the signature-keyed cache replays it.
-    let warm = roundtrip(&authority, "POST", path, &body).unwrap();
+    let warm = roundtrip(&authority, "POST", path, &body, None, Policy::Close).unwrap();
     assert!(warm.body.contains("\"cached\": true"));
     assert_eq!(
         cold.body.replace("\"cached\": false", "\"cached\": true"),
         warm.body
     );
 
-    let r = roundtrip(&authority, "GET", "/stats", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/stats", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 200);
     assert!(r.body.contains("\"streams\": 4"), "{}", r.body);
     assert!(r.body.contains("\"envelope_prunes\": 0"), "{}", r.body);
@@ -411,7 +503,7 @@ fn keepalive_budget_exhaustion_closes_with_connection_close() {
         conn.call("GET", "/stats", "").is_err(),
         "the socket must really be closed after the budget"
     );
-    let r = roundtrip(&authority, "GET", "/stats", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/stats", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 200);
     let counters = server.counters();
     assert_eq!(counters.max_requests_per_connection, 3);
@@ -445,7 +537,7 @@ fn keepalive_idle_timeout_closes_cleanly() {
     let mut buf = [0u8; 64];
     assert_eq!(stream.read(&mut buf).unwrap(), 0, "expected clean EOF");
     // The pool worker is free again: a fresh connection is served.
-    let r = roundtrip(&authority, "GET", "/stats", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/stats", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 200);
     assert_eq!(server.counters().errors, 0, "idle closes are not errors");
     server.shutdown();
@@ -473,8 +565,16 @@ fn explicit_connection_close_on_http11_is_honored() {
         raw.to_ascii_lowercase().contains("connection: close"),
         "{raw}"
     );
-    // One-shot roundtrip() rides the same contract.
-    let r = roundtrip(&server.authority(), "GET", "/stats", "").unwrap();
+    // One-shot roundtrip(, None, Policy::Close) rides the same contract.
+    let r = roundtrip(
+        &server.authority(),
+        "GET",
+        "/stats",
+        "",
+        None,
+        Policy::Close,
+    )
+    .unwrap();
     assert!(r.close);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -502,7 +602,7 @@ fn mid_request_disconnect_does_not_poison_workers() {
     }
     // All workers still answer, on fresh and on persistent connections.
     for _ in 0..4 {
-        let r = roundtrip(&authority, "GET", "/stats", "").unwrap();
+        let r = roundtrip(&authority, "GET", "/stats", "", None, Policy::Close).unwrap();
         assert_eq!(r.status, 200);
     }
     let mut conn = spp_serve::http::Conn::connect(&authority).unwrap();

@@ -11,7 +11,7 @@ use spp_engine::{
     execute_cells, BatchJob, CellStatus, DiskCache, Registry, ShardPlan, SolveCache, SolveConfig,
     SolveRequest, Solver, WorkQueue, WorkSource,
 };
-use spp_serve::http::{roundtrip, roundtrip_auth};
+use spp_serve::http::{roundtrip, Policy};
 use spp_serve::{HttpCache, RemoteLease, ServeConfig, Server, ServerHandle, ShardedCache};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -236,10 +236,18 @@ fn cache_endpoints_enforce_the_bearer_token() {
 
     // Missing and wrong credentials: 401 with the structured error body.
     for token in [None, Some("wrong-secret"), Some("")] {
-        let r = roundtrip_auth(&authority, "PUT", &path, &body, token).unwrap();
+        let r = roundtrip(&authority, "PUT", &path, &body, token, Policy::Close).unwrap();
         assert_eq!(r.status, 401, "token {token:?}");
         assert!(r.body.contains("spp-serve-error"), "{}", r.body);
-        let r = roundtrip_auth(&authority, "POST", "/solve?solver=nfdh", "{}", token).unwrap();
+        let r = roundtrip(
+            &authority,
+            "POST",
+            "/solve?solver=nfdh",
+            "{}",
+            token,
+            Policy::Close,
+        )
+        .unwrap();
         assert_eq!(r.status, 401, "token {token:?}");
     }
 
@@ -264,13 +272,21 @@ fn cache_endpoints_enforce_the_bearer_token() {
     assert!(raw.contains("WWW-Authenticate: Bearer"), "{raw}");
 
     // The right token is accepted on every protected endpoint.
-    let r = roundtrip_auth(&authority, "PUT", &path, &body, Some("fleet-secret")).unwrap();
+    let r = roundtrip(
+        &authority,
+        "PUT",
+        &path,
+        &body,
+        Some("fleet-secret"),
+        Policy::Close,
+    )
+    .unwrap();
     assert_eq!(r.status, 204, "{}", r.body);
     // Reads stay open — a fleet's dashboards and read-through clients
     // need no credential.
-    let r = roundtrip(&authority, "GET", &path, "").unwrap();
+    let r = roundtrip(&authority, "GET", &path, "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 200);
-    let r = roundtrip(&authority, "GET", "/stats", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/stats", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 200);
 
     // The client stacks carry the token end to end.
@@ -315,13 +331,13 @@ fn work_endpoints_enforce_the_bearer_token() {
     let authority = server.authority();
 
     for path in ["/work/lease", "/work/complete"] {
-        let r = roundtrip(&authority, "POST", path, "").unwrap();
+        let r = roundtrip(&authority, "POST", path, "", None, Policy::Close).unwrap();
         assert_eq!(r.status, 401, "{path} without token");
-        let r = roundtrip_auth(&authority, "POST", path, "", Some("wrong")).unwrap();
+        let r = roundtrip(&authority, "POST", path, "", Some("wrong"), Policy::Close).unwrap();
         assert_eq!(r.status, 401, "{path} with wrong token");
     }
     // Reads stay open.
-    let r = roundtrip(&authority, "GET", "/work/status", "").unwrap();
+    let r = roundtrip(&authority, "GET", "/work/status", "", None, Policy::Close).unwrap();
     assert_eq!(r.status, 200);
 
     // A token'd worker leases fine; a tokenless one fails loudly.

@@ -1496,7 +1496,7 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
             let stem = file_name.strip_suffix(".json").unwrap_or(&file_name);
             let path = format!("/cache/{stem}");
             let body = solve_cache::entry_to_json(&key, &cell);
-            match http::roundtrip(&authority, "PUT", &path, &body) {
+            match http::roundtrip(&authority, "PUT", &path, &body, None, http::Policy::Close) {
                 Ok(r) if r.status == 204 || r.status == 200 => {}
                 Ok(r) => {
                     eprintln!(

@@ -153,9 +153,15 @@ fn dispatched_fleet_with_a_killed_worker_matches_single_process_byte_for_byte() 
 
     // The kill left its trace: at least one lease was requeued, and the
     // queue reports itself done.
-    let status =
-        strip_packing::serve::http::roundtrip(dispatcher.authority(), "GET", "/work/status", "")
-            .unwrap();
+    let status = strip_packing::serve::http::roundtrip(
+        dispatcher.authority(),
+        "GET",
+        "/work/status",
+        "",
+        None,
+        strip_packing::serve::http::Policy::Close,
+    )
+    .unwrap();
     assert_eq!(status.status, 200);
     assert!(status.body.contains("\"done\": true"), "{}", status.body);
     assert!(
@@ -166,8 +172,15 @@ fn dispatched_fleet_with_a_killed_worker_matches_single_process_byte_for_byte() 
 
     // /stats exposes the same story without logs: uptime, per-endpoint
     // counters (lease/complete included), queue progress.
-    let stats =
-        strip_packing::serve::http::roundtrip(dispatcher.authority(), "GET", "/stats", "").unwrap();
+    let stats = strip_packing::serve::http::roundtrip(
+        dispatcher.authority(),
+        "GET",
+        "/stats",
+        "",
+        None,
+        strip_packing::serve::http::Policy::Close,
+    )
+    .unwrap();
     assert_eq!(stats.status, 200);
     for needle in ["\"uptime_secs\":", "\"work_lease\":", "\"work_complete\":"] {
         assert!(

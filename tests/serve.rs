@@ -144,7 +144,15 @@ fn two_process_round_trip_is_byte_identical_and_warm_runs_solve_nothing() {
     // /stats, straight off the live server: 24 GET misses (cold), 24
     // PUTs, 24 GET hits (warm), zero error-class responses.
     let authority = server.url.strip_prefix("http://").unwrap();
-    let stats = strip_packing::serve::http::roundtrip(authority, "GET", "/stats", "").unwrap();
+    let stats = strip_packing::serve::http::roundtrip(
+        authority,
+        "GET",
+        "/stats",
+        "",
+        None,
+        strip_packing::serve::http::Policy::Close,
+    )
+    .unwrap();
     assert_eq!(stats.status, 200);
     for needle in [
         "\"cache_get_hits\": 24",
@@ -161,9 +169,15 @@ fn two_process_round_trip_is_byte_identical_and_warm_runs_solve_nothing() {
         );
     }
     // And a malformed request is a structured 400, not a hang or a 500.
-    let bad =
-        strip_packing::serve::http::roundtrip(authority, "POST", "/solve?solver=nfdh", "garbage")
-            .unwrap();
+    let bad = strip_packing::serve::http::roundtrip(
+        authority,
+        "POST",
+        "/solve?solver=nfdh",
+        "garbage",
+        None,
+        strip_packing::serve::http::Policy::Close,
+    )
+    .unwrap();
     assert_eq!(bad.status, 400);
     assert!(bad.body.contains("spp-serve-error"), "{}", bad.body);
 
