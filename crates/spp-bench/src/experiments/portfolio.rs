@@ -21,7 +21,7 @@
 //! budget-dependent.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::time::{Duration, Instant};
 
 use crate::table::{f3, Table};
@@ -205,6 +205,56 @@ fn reference_improve(
     (rounds, best)
 }
 
+/// Run the portfolio at K ∈ {1, 2, 4, 8} streams, each stream stopped by
+/// `budget` or `max_rounds`, checking that every stream reports and that
+/// the portfolio never loses to its seed. Returns the table and total
+/// rounds per K.
+fn width_sweep(
+    prec: &PrecInstance,
+    seed_pl: &Placement,
+    budget: Option<Duration>,
+    max_rounds: u64,
+) -> (Table, BTreeMap<usize, u64>) {
+    let seed_h = seed_pl.height(&prec.inst);
+    let mut width = Table::new(&["streams K", "rounds", "vs K=1", "best h", "gain"]);
+    let mut rounds_at = BTreeMap::new();
+    for k in [1usize, 2, 4, 8] {
+        let out = improve_parallel(
+            prec,
+            seed_pl,
+            &PortfolioConfig {
+                streams: k,
+                seed: crate::experiments::SEED,
+                budget,
+                max_rounds,
+                stall_rounds: u64::MAX,
+                ..PortfolioConfig::default()
+            },
+        );
+        assert_eq!(out.streams.len(), k, "every stream must report");
+        assert_eq!(
+            out.rounds,
+            out.streams.iter().map(|s| s.rounds).sum::<u64>(),
+            "portfolio rounds are the sum over its streams"
+        );
+        assert!(
+            out.makespan <= seed_h + 1e-12,
+            "portfolio must never lose to its seed"
+        );
+        prec.assert_valid(&out.placement);
+        rounds_at.insert(k, out.rounds);
+        let base = *rounds_at.get(&1).expect("K=1 runs first");
+        width.row(&[
+            k.to_string(),
+            out.rounds.to_string(),
+            format!("{:.2}x", out.rounds as f64 / base.max(1) as f64),
+            f3(out.makespan),
+            f3(out.gain()),
+        ]);
+    }
+    (width, rounds_at)
+}
+
 pub fn run() -> String {
     let prec = micro_instance();
     let seed_pl = stacked_seed(&prec);
@@ -257,37 +307,7 @@ pub fn run() -> String {
     prec.assert_valid(&prod.placement);
 
     // ----- portfolio width sweep: rounds and makespan vs. K ----------
-    let mut width = Table::new(&["streams K", "rounds", "vs K=1", "best h", "gain"]);
-    let mut rounds_at = std::collections::BTreeMap::new();
-    for k in [1usize, 2, 4, 8] {
-        let out = improve_parallel(
-            &prec,
-            &seed_pl,
-            &PortfolioConfig {
-                streams: k,
-                seed: crate::experiments::SEED,
-                budget: Some(STREAM_BUDGET),
-                max_rounds: u64::MAX,
-                stall_rounds: u64::MAX,
-                ..PortfolioConfig::default()
-            },
-        );
-        assert_eq!(out.streams.len(), k, "every stream must report");
-        assert!(
-            out.makespan <= seed_h + 1e-12,
-            "portfolio must never lose to its seed"
-        );
-        prec.assert_valid(&out.placement);
-        rounds_at.insert(k, out.rounds);
-        let base = *rounds_at.get(&1).expect("K=1 runs first");
-        width.row(&[
-            k.to_string(),
-            out.rounds.to_string(),
-            format!("{:.2}x", out.rounds as f64 / base.max(1) as f64),
-            f3(out.makespan),
-            f3(out.gain()),
-        ]);
-    }
+    let (width, rounds_at) = width_sweep(&prec, &seed_pl, Some(STREAM_BUDGET), u64::MAX);
     let widening = rounds_at[&4] as f64 / (rounds_at[&1].max(1)) as f64;
     assert!(
         widening >= 3.0,
@@ -320,13 +340,20 @@ pub fn run() -> String {
 
 #[cfg(test)]
 mod tests {
-    /// `run` carries its own gates; the test just exercises them and
-    /// checks the report's section markers.
+    /// The width sweep under a fixed round cap instead of a wall-clock
+    /// budget: the 3x rounds gate measures wall-clock throughput and
+    /// only holds on an otherwise idle machine, so it lives in [`run`]
+    /// (enforced by the release-mode E17 CI step), not in the parallel
+    /// test suite, where sibling test binaries take the rounds.
     #[test]
-    fn report_asserts_the_kernel_and_width_gates() {
-        let report = super::run();
-        assert!(report.contains("## E17"));
-        assert!(report.contains("decode kernel: production vs. pre-PR10 reference"));
-        assert!(report.contains("portfolio width: exploration scales with K"));
+    fn width_sweep_runs_every_stream_to_its_round_cap() {
+        const ROUNDS: u64 = 40;
+        let prec = super::micro_instance();
+        let seed_pl = super::stacked_seed(&prec);
+        let (table, rounds_at) = super::width_sweep(&prec, &seed_pl, None, ROUNDS);
+        for (k, rounds) in rounds_at {
+            assert_eq!(rounds, k as u64 * ROUNDS, "K={k}");
+        }
+        assert!(table.render().contains("streams K"));
     }
 }
