@@ -595,6 +595,15 @@ fn field_err(field: &str, line: usize, msg: impl Into<String>) -> FileFormatErro
     }
 }
 
+/// `e` with its field path replaced — for accessors called with an empty
+/// path so the real one is only formatted on error.
+fn relabel(e: FileFormatError, path: &str) -> FileFormatError {
+    match e {
+        FileFormatError::Field { line, msg, .. } => field_err(path, line, msg),
+        syntax => syntax,
+    }
+}
+
 fn type_err(v: &JsonValue, path: &str, want: &str) -> FileFormatError {
     field_err(
         path,
@@ -639,7 +648,8 @@ pub fn as_u64(v: &JsonValue, path: &str) -> Result<u64, FileFormatError> {
         return Ok(n);
     }
     let x = as_num(v, path)?;
-    if x < 0.0 || x.fract() != 0.0 || !x.is_finite() {
+    // 2^64 and beyond would saturate to u64::MAX instead of failing.
+    if x < 0.0 || x.fract() != 0.0 || x >= u64::MAX as f64 {
         return Err(field_err(
             path,
             v.line,
@@ -772,10 +782,7 @@ impl<'a> Fields<'a> {
         name: &str,
         read: fn(&'a JsonValue, &str) -> Result<T, FileFormatError>,
     ) -> Result<T, FileFormatError> {
-        read(self.value(name)?, "").map_err(|e| match e {
-            FileFormatError::Field { line, msg, .. } => field_err(&self.path(name), line, msg),
-            syntax => syntax,
-        })
+        read(self.value(name)?, "").map_err(|e| relabel(e, &self.path(name)))
     }
 
     pub fn str(&self, name: &str) -> Result<&'a str, FileFormatError> {
@@ -928,30 +935,31 @@ impl InstanceFile {
             ));
         }
 
+        let n = items.len();
         let edges_arr = top.arr("edges")?;
         let mut edges = Vec::with_capacity(edges_arr.len());
         for (i, ev) in edges_arr.iter().enumerate() {
-            let path = format!("edges[{i}]");
-            let pair = as_arr(ev, &path)?;
-            if pair.len() != 2 {
-                return Err(field_err(
-                    &path,
-                    ev.line,
-                    format!("expected [pred, succ], found {} elements", pair.len()),
-                ));
-            }
-            let u = as_u64(&pair[0], &format!("{path}[0]"))? as usize;
-            let v = as_u64(&pair[1], &format!("{path}[1]"))? as usize;
-            for (endpoint, which) in [(u, "[0]"), (v, "[1]")] {
-                if endpoint >= items.len() {
-                    return Err(field_err(
-                        &format!("{path}{which}"),
-                        ev.line,
-                        format!("id {endpoint} out of range (n = {})", items.len()),
-                    ));
+            // Paths are formatted only on error: this runs for every edge
+            // of every instance a server parses.
+            let path = |end: &str| format!("edges[{i}]{end}");
+            let pair = match &ev.json {
+                Json::Arr(pair) if pair.len() == 2 => pair,
+                Json::Arr(pair) => {
+                    let msg = format!("expected [pred, succ], found {} elements", pair.len());
+                    return Err(field_err(&path(""), ev.line, msg));
                 }
-            }
-            edges.push((u, v));
+                _ => return Err(type_err(ev, &path(""), "array")),
+            };
+            let end = |k: usize| match as_u64(&pair[k], "") {
+                Ok(id) if id < n as u64 => Ok(id as usize),
+                Ok(id) => Err(field_err(
+                    &path(&format!("[{k}]")),
+                    ev.line,
+                    format!("id {id} out of range (n = {n})"),
+                )),
+                Err(e) => Err(relabel(e, &path(&format!("[{k}]")))),
+            };
+            edges.push((end(0)?, end(1)?));
         }
 
         Ok(InstanceFile { items, edges })
@@ -1128,6 +1136,12 @@ mod tests {
         );
         assert_eq!(as_num(&vals[4], "x").unwrap(), 1.5);
         assert_eq!(vals[3].json, Json::Num(42.0));
+        for out_of_range in ["18446744073709551616", "1e30", "-1", "2.5"] {
+            assert!(
+                as_u64(&parse(out_of_range).unwrap(), "x").is_err(),
+                "{out_of_range}"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use spp_engine::cache::{entry_parse, entry_to_json};
 use spp_engine::{CacheError, CacheKey, CacheStats, CachedCell, SolveCache};
 
-use crate::http;
+use crate::http::{self, HttpError, Policy, Response};
 
 /// A [`SolveCache`] served over HTTP by `spp serve`.
 pub struct HttpCache {
@@ -92,10 +92,21 @@ impl HttpCache {
         self.readonly
     }
 
-    fn path_for(key: &CacheKey) -> String {
+    /// One request for `key`'s entry (`/cache/<file stem>`), pooled with
+    /// one bounded retry.
+    fn call(&self, method: &str, key: &CacheKey, body: &str) -> Result<Response, HttpError> {
         let file_name = key.file_name();
         let stem = file_name.strip_suffix(".json").unwrap_or(&file_name);
-        format!("/cache/{stem}")
+        let path = format!("/cache/{stem}");
+        let token = self.token.as_deref();
+        http::roundtrip(
+            &self.authority,
+            method,
+            &path,
+            body,
+            token,
+            Policy::PooledRetry,
+        )
     }
 
     /// `put` with the failure mode kept apart: the fan-out backend
@@ -108,14 +119,7 @@ impl HttpCache {
             return PutOutcome::Written;
         }
         let body = entry_to_json(key, cell);
-        let response = match http::roundtrip(
-            &self.authority,
-            "PUT",
-            &Self::path_for(key),
-            &body,
-            self.token.as_deref(),
-            http::Policy::PooledRetry,
-        ) {
+        let response = match self.call("PUT", key, &body) {
             Ok(r) => r,
             Err(e) => {
                 return PutOutcome::Unreachable(CacheError::Io {
@@ -158,14 +162,7 @@ impl SolveCache for HttpCache {
             }
             None
         };
-        let response = match http::roundtrip(
-            &self.authority,
-            "GET",
-            &Self::path_for(key),
-            "",
-            self.token.as_deref(),
-            http::Policy::PooledRetry,
-        ) {
+        let response = match self.call("GET", key, "") {
             Ok(r) => r,
             Err(_) => return miss(false), // unreachable server = cold cache
         };
